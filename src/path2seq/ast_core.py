@@ -21,7 +21,6 @@ built-in language frontend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import Path2SeqError
 
@@ -32,10 +31,6 @@ TERMINAL_TAG = "NAME"
 MASKED_NAME = "METHOD_NAME"
 
 _FORBIDDEN_IN_KIND = set(" \t\r\n,|")
-
-
-class InvalidNodeId(Path2SeqError):
-    kind = "invalid-id"
 
 
 class MalformedAstText(Path2SeqError):
@@ -108,7 +103,7 @@ def node(kind: NodeKind, *children: AstNode) -> AstNode:
 
 
 class Ast:
-    """A rooted tree with pre-order node ids in [0, node_count) and a
+    """A rooted tree with pre-order node ids in [0, len(nodes)) and a
     parent index (root's parent is -1)."""
 
     def __init__(self, root: AstNode):
@@ -124,29 +119,12 @@ class Ast:
             for child in reversed(cur.children):
                 stack.append((child, cur.node_id))
 
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def node(self, node_id: int) -> AstNode:
-        if not 0 <= node_id < len(self.nodes):
-            raise InvalidNodeId(f"node id {node_id} out of range [0, {len(self.nodes)})")
-        return self.nodes[node_id]
-
-    def parent_of(self, node_id: int) -> int:
-        if not 0 <= node_id < len(self.nodes):
-            raise InvalidNodeId(f"node id {node_id} out of range [0, {len(self.nodes)})")
-        return self.parents[node_id]
-
     def depths(self) -> list[int]:
         # parents precede children in pre-order, so one forward pass works
         out = [0] * len(self.nodes)
         for i in range(1, len(self.nodes)):
             out[i] = out[self.parents[i]] + 1
         return out
-
-    def walk(self) -> Iterator[AstNode]:
-        return iter(self.nodes)
 
 
 def terminals(ast: Ast) -> list[AstNode]:
@@ -156,40 +134,6 @@ def terminals(ast: Ast) -> list[AstNode]:
     already the one we want; the result is stable across calls.
     """
     return [n for n in ast.nodes if n.is_terminal]
-
-
-def lowest_common_ancestor(ast: Ast, a: int, b: int) -> int:
-    """Deepest node that is an ancestor of both `a` and `b` (a node counts
-    as its own ancestor). Requires two distinct valid ids."""
-    if a == b:
-        raise InvalidNodeId("lowest_common_ancestor needs two distinct nodes")
-    ast.node(a), ast.node(b)  # range checks
-    depths = ast.depths()
-    while depths[a] > depths[b]:
-        a = ast.parents[a]
-    while depths[b] > depths[a]:
-        b = ast.parents[b]
-    while a != b:
-        a = ast.parents[a]
-        b = ast.parents[b]
-    return a
-
-
-def structurally_equal(left: Ast, right: Ast) -> bool:
-    """Compare kind names, terminal values and child shapes; ignores ids."""
-    stack = [(left.root, right.root)]
-    while stack:
-        x, y = stack.pop()
-        if x.is_terminal != y.is_terminal:
-            return False
-        if x.is_terminal:
-            if x.value != y.value:
-                return False
-            continue
-        if x.kind.name != y.kind.name or len(x.children) != len(y.children):
-            return False
-        stack.extend(zip(x.children, y.children))
-    return True
 
 
 def _escape(value: str) -> str:

@@ -19,11 +19,10 @@ import numpy as np
 from .ast_core import parse_ast_text, serialize_ast
 from .decoding import beam_decode, explain, greedy_decode
 from .errors import Path2SeqError
-from .metrics import (ABLATION_ORDER, ablation_report, ablation_report_lines,
-                      bleu_report_lines, corpus_f1, f1_report_lines,
+from .metrics import (bleu_report_lines, corpus_f1, f1_report_lines,
                       format_prediction_line, smoothed_bleu)
 from .minij import extract_target_name, parse_method, split_methods
-from .model import ModelConfig, ModelParams
+from .model import ABLATIONS, ModelConfig, ModelParams
 from .paths import (ExtractionConfig, build_example, parse_example_line,
                     read_dataset, write_dataset)
 from .training import TrainConfig, TrainState, checkpoint, make_rng, restore, train
@@ -36,6 +35,10 @@ class ConfigError(Path2SeqError):
 
 class NoParsableFiles(Path2SeqError):
     kind = "no-parsable-files"
+
+
+class MissingCheckpoint(Path2SeqError):
+    kind = "missing-checkpoint"
 
 
 def _float_or_none(text: str):
@@ -116,8 +119,17 @@ def log_config(values: dict):
         print(f"config: {key}={values[key]}", file=sys.stderr)
 
 
+def _build(cls, **kwargs):
+    """Construct a config object, reporting a rejected value as ConfigError."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def model_config(values: dict) -> ModelConfig:
-    return ModelConfig(
+    return _build(
+        ModelConfig,
         d_nodes=values["d_nodes"], d_tokens=values["d_tokens"],
         d_hidden=values["d_hidden"], d_target=values["d_target"],
         d_path=values["d_path"], d_decoder=values["d_decoder"], k=values["k"],
@@ -127,7 +139,8 @@ def model_config(values: dict) -> ModelConfig:
 
 
 def train_config(values: dict) -> TrainConfig:
-    return TrainConfig(
+    return _build(
+        TrainConfig,
         lr0=values["lr0"], lr_decay=values["lr_decay"], momentum=values["momentum"],
         batch_size=values["batch_size"], max_epochs=values["max_epochs"],
         patience=values["patience"], seed=values["seed"], ablation=values["ablation"],
@@ -135,9 +148,8 @@ def train_config(values: dict) -> TrainConfig:
 
 
 def extraction_config(values: dict) -> ExtractionConfig:
-    return ExtractionConfig(max_path_length=values["max_path_length"],
-                            max_paths_per_example=values["k"],
-                            rng_seed=values["seed"])
+    return _build(ExtractionConfig, max_path_length=values["max_path_length"],
+                  max_paths_per_example=values["k"], rng_seed=values["seed"])
 
 
 # --- preprocess ---
@@ -223,38 +235,50 @@ def cmd_preprocess(args) -> int:
 # --- train ---
 
 def run_training(values: dict, data_prefix: str, out_path: str,
-                 ablation: str | None = None, quiet: bool = False) -> TrainState:
+                 ablation: str | None = None, resume: str | None = None,
+                 quiet: bool = False):
+    """Train on `{data_prefix}.train.c2s`, validating on the val split when
+    it holds examples. Each epoch adds a line to `{out_path}.log`, writes
+    `{out_path}.last` and, when validation improves (or there is no
+    validation split), `out_path`.
+
+    A fresh run builds the model from `values`; `ablation` overrides the
+    configured variant. With `resume`, model and optimizer settings come
+    from that checkpoint, only max_epochs and patience from `values`, and
+    an `ablation` other than the checkpoint's is rejected.
+    """
     train_ex = read_dataset(f"{data_prefix}.train.c2s")
     val_path = Path(f"{data_prefix}.val.c2s")
     val_ex = read_dataset(val_path) if val_path.exists() and val_path.stat().st_size else []
-    vocabs = Vocabularies.load(f"{data_prefix}.vocab.json")
-    mcfg = model_config(values)
-    tcfg = train_config(values)
-    if ablation is not None:
-        tcfg.ablation = ablation
-    ecfg = extraction_config(values)
-    params = ModelParams(mcfg, vocabs, ablation=tcfg.ablation, seed=tcfg.seed)
-    rng = make_rng(tcfg.seed)
+    if resume:
+        params, state, rng, tcfg, ecfg = restore(resume)
+        if ablation is not None and ablation != tcfg.ablation:
+            raise ConfigError(f"--ablation {ablation} does not match the resumed "
+                              f"checkpoint's variant {tcfg.ablation}")
+        tcfg.max_epochs = values["max_epochs"]
+        tcfg.patience = values["patience"]
+    else:
+        tcfg = train_config(values if ablation is None else {**values, "ablation": ablation})
+        ecfg = extraction_config(values)
+        vocabs = Vocabularies.load(f"{data_prefix}.vocab.json")
+        params = ModelParams(model_config(values), vocabs, ablation=tcfg.ablation,
+                             seed=tcfg.seed)
+        state = TrainState(current_lr=tcfg.lr0)
+        rng = make_rng(tcfg.seed)
     log_path = Path(f"{out_path}.log")
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    log_file = open(log_path, "w", encoding="utf-8")
+    with open(log_path, "a" if resume else "w", encoding="utf-8") as log_file:
+        def on_epoch(log, improved):
+            log_file.write(log.line() + "\n")
+            log_file.flush()
+            if not quiet:
+                print(log.line())
+            checkpoint(f"{out_path}.last", params, state, rng, tcfg, ecfg)
+            if improved or not val_ex:
+                checkpoint(out_path, params, state, rng, tcfg, ecfg)
 
-    def on_epoch(log, improved):
-        log_file.write(log.line() + "\n")
-        log_file.flush()
-        if not quiet:
-            print(log.line())
-        checkpoint(f"{out_path}.last", params, state, rng, tcfg, ecfg)
-        if improved or not val_ex:
-            checkpoint(out_path, params, state, rng, tcfg, ecfg)
-
-    state = TrainState(current_lr=tcfg.lr0)
-    try:
-        state, _ = train(train_ex, val_ex, params, mcfg, tcfg, state=state, rng=rng,
-                         on_epoch=on_epoch)
-    finally:
-        log_file.close()
-    return state
+        train(train_ex, val_ex, params, params.cfg, tcfg, state=state, rng=rng,
+              on_epoch=on_epoch)
 
 
 def cmd_train(args) -> int:
@@ -265,33 +289,8 @@ def cmd_train(args) -> int:
     prefix = f"{args.data_prefix}.train.c2s"
     if not Path(prefix).exists():
         raise ConfigError(f"dataset not found: {prefix}")
-    if args.resume:
-        return _resume_training(args, values)
-    run_training(values, args.data_prefix, args.out)
-    return 0
-
-
-def _resume_training(args, values: dict) -> int:
-    params, state, rng, tcfg, ecfg = restore(args.resume)
-    # optimizer settings come from the checkpoint; the epoch budget and
-    # patience may be extended on resume
-    tcfg.max_epochs = values["max_epochs"]
-    tcfg.patience = values["patience"]
-    train_ex = read_dataset(f"{args.data_prefix}.train.c2s")
-    val_path = Path(f"{args.data_prefix}.val.c2s")
-    val_ex = read_dataset(val_path) if val_path.exists() and val_path.stat().st_size else []
-    mcfg = params.cfg
-    with open(f"{args.out}.log", "a", encoding="utf-8") as log_file:
-        def on_epoch(log, improved):
-            log_file.write(log.line() + "\n")
-            log_file.flush()
-            print(log.line())
-            checkpoint(f"{args.out}.last", params, state, rng, tcfg, ecfg)
-            if improved or not val_ex:
-                checkpoint(args.out, params, state, rng, tcfg, ecfg)
-
-        train(train_ex, val_ex, params, mcfg, tcfg, state=state, rng=rng,
-              on_epoch=on_epoch)
+    run_training(values, args.data_prefix, args.out, ablation=args.ablation,
+                 resume=args.resume)
     return 0
 
 
@@ -421,13 +420,45 @@ def cmd_evaluate(args) -> int:
 
 # --- ablate ---
 
+def ablation_report(checkpoints: dict[str, object], examples) -> list[dict]:
+    """Score each trained variant on a dataset and tabulate F1 deltas
+    against the full model.
+
+    `checkpoints` maps each variant name to a checkpoint path; all seven
+    must be present. Rows come back in canonical order with precision,
+    recall, f1 and delta_f1 fields.
+    """
+    missing = [v for v in ABLATIONS if v not in checkpoints]
+    if missing:
+        raise MissingCheckpoint(f"no checkpoint for variant(s): {', '.join(missing)}")
+    rows = []
+    for variant in ABLATIONS:
+        params, _, _, _, _ = restore(checkpoints[variant])
+        preds = [greedy_decode(ex, params, params.cfg) for ex in examples]
+        report = corpus_f1([(p.subtokens, ex.target) for p, ex in zip(preds, examples)])
+        rows.append({"variant": variant, "precision": report.precision,
+                     "recall": report.recall, "f1": report.f1})
+    base = rows[0]["f1"]
+    for row in rows:
+        row["delta_f1"] = row["f1"] - base
+    return rows
+
+
+def ablation_report_lines(rows: list[dict]) -> list[str]:
+    out = ["variant\tprecision\trecall\tf1\tdelta_f1"]
+    for row in rows:
+        out.append(f"{row['variant']}\t{row['precision']:.4f}\t{row['recall']:.4f}"
+                   f"\t{row['f1']:.4f}\t{row['delta_f1']:+.4f}")
+    return out
+
+
 def cmd_ablate(args) -> int:
     values = resolve_config(args.config, args.set)
     log_config(values)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = {}
-    for variant in ABLATION_ORDER:
+    for variant in ABLATIONS:
         path = out_dir / f"{variant}.p2sq"
         print(f"training variant {variant}", file=sys.stderr)
         run_training(values, args.data_prefix, str(path), ablation=variant, quiet=True)
@@ -461,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data_prefix")
     p.add_argument("out", help="checkpoint path (best by validation metric)")
     p.add_argument("--resume", help="continue from a .last checkpoint")
-    p.add_argument("--ablation", choices=ABLATION_ORDER,
+    p.add_argument("--ablation", choices=ABLATIONS,
                    help="model variant to train (shorthand for --set ablation=...)")
     common(p)
     p.set_defaults(fn=cmd_train)

@@ -16,8 +16,7 @@ import numpy as np
 from . import numerics as nx
 from .errors import Path2SeqError
 from .model import (TARGET_EOS_ID, TARGET_PAD_ID, TARGET_SOS_ID, ModelConfig,
-                    ModelParams, decode_step, encode_example, ensure_ids,
-                    start_decoder_state)
+                    ModelParams, decode_step, encode_example, start_decoder_state)
 from .paths import Example
 
 
@@ -54,7 +53,6 @@ def _step_log_probs(dist: nx.Tensor) -> np.ndarray:
 
 def greedy_decode(example: Example, params: ModelParams, cfg: ModelConfig) -> Prediction:
     """Argmax decoding from SOS until EOS or the length cap."""
-    ensure_ids(example, params.vocabs)
     enc = encode_example(params, example, cfg, rng=None, training=False)
     if params.ablation == "no_decoder":
         return _decode_whole_name(example, params, enc)
@@ -106,7 +104,6 @@ def beam_decode(example: Example, params: ModelParams, cfg: ModelConfig,
     length (EOS counted). beam_width 1 reduces exactly to greedy."""
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
-    ensure_ids(example, params.vocabs)
     enc = encode_example(params, example, cfg, rng=None, training=False)
     if params.ablation == "no_decoder":
         return [_decode_whole_name(example, params, enc)]

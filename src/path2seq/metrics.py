@@ -1,5 +1,5 @@
 """Task metrics: case-insensitive subtoken precision/recall/F1 and corpus
-BLEU-4 with add-one smoothing, plus the ablation comparison harness.
+BLEU-4 with add-one smoothing.
 
 F1 matches subtokens as multisets (a repeated subtoken must be predicted
 the right number of times). The corpus aggregate is micro (counts summed
@@ -18,10 +18,6 @@ from .errors import Path2SeqError
 
 class EmptyCandidateSet(Path2SeqError):
     kind = "empty-candidate-set"
-
-
-class MissingCheckpoint(Path2SeqError):
-    kind = "missing-checkpoint"
 
 
 @dataclass
@@ -47,38 +43,31 @@ def _fold(tokens) -> list[str]:
     return [t.lower() for t in tokens]
 
 
-def subtoken_f1(predicted, gold) -> tuple[float, float, float]:
-    """Precision, recall and F1 of one prediction against its gold
-    sequence, order-insensitive, matching multisets case-insensitively."""
+def _match_counts(predicted, gold) -> tuple[int, int, int]:
+    """(matched, predicted, gold) subtoken counts of one pair, matching
+    multisets case-insensitively."""
     pred_counts = Counter(_fold(predicted))
     gold_counts = Counter(_fold(gold))
-    matched = sum(min(pred_counts[t], gold_counts[t]) for t in pred_counts)
-    return _prf(matched, sum(pred_counts.values()), sum(gold_counts.values()))
+    matched = sum(min(count, gold_counts[t]) for t, count in pred_counts.items())
+    return matched, sum(pred_counts.values()), sum(gold_counts.values())
+
+
+def subtoken_f1(predicted, gold) -> tuple[float, float, float]:
+    """Precision, recall and F1 of one prediction against its gold
+    sequence, order-insensitive."""
+    return _prf(*_match_counts(predicted, gold))
 
 
 def corpus_f1(pairs) -> F1Report:
     """Micro-aggregated F1 over (predicted, gold) pairs, with the macro
-    mean reported alongside."""
+    mean of the per-pair `subtoken_f1` reported alongside."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("corpus_f1 needs at least one pair")
-    matched = n_pred = n_gold = 0
-    macro = [0.0, 0.0, 0.0]
-    for predicted, gold in pairs:
-        pred_counts = Counter(_fold(predicted))
-        gold_counts = Counter(_fold(gold))
-        m = sum(min(pred_counts[t], gold_counts[t]) for t in pred_counts)
-        matched += m
-        n_pred += sum(pred_counts.values())
-        n_gold += sum(gold_counts.values())
-        for slot, value in enumerate(_prf(m, sum(pred_counts.values()),
-                                          sum(gold_counts.values()))):
-            macro[slot] += value
-    precision, recall, f1 = _prf(matched, n_pred, n_gold)
-    n = len(pairs)
-    return F1Report(precision, recall, f1,
-                    macro_precision=macro[0] / n, macro_recall=macro[1] / n,
-                    macro_f1=macro[2] / n)
+    totals = [sum(col) for col in zip(*(_match_counts(p, g) for p, g in pairs))]
+    macro = [sum(col) / len(pairs) for col in zip(*(subtoken_f1(p, g) for p, g in pairs))]
+    return F1Report(*_prf(*totals), macro_precision=macro[0], macro_recall=macro[1],
+                    macro_f1=macro[2])
 
 
 @dataclass
@@ -162,15 +151,6 @@ def format_prediction_line(gold, predicted, score: float) -> str:
     return f"{' '.join(gold)} | {' '.join(predicted)} | {score:.6f}"
 
 
-def parse_prediction_line(line: str) -> tuple[list[str], list[str], float]:
-    parts = line.rstrip("\n").split(" | ")
-    if len(parts) != 3:
-        raise ValueError(f"bad prediction dump line: {line[:60]!r}")
-    gold = parts[0].split() if parts[0].strip() else []
-    predicted = parts[1].split() if parts[1].strip() else []
-    return gold, predicted, float(parts[2])
-
-
 def f1_report_lines(report: F1Report) -> list[str]:
     return [
         "metric\tmicro\tmacro",
@@ -187,41 +167,3 @@ def bleu_report_lines(report: BleuReport) -> list[str]:
         f"{report.bleu:.4f}\t{precisions}\t{report.brevity_penalty:.6f}",
     ]
 
-
-ABLATION_ORDER = ("full", "no_ast_nodes", "no_decoder", "no_token_split",
-                  "no_tokens", "no_attention", "no_random")
-
-
-def ablation_report(checkpoints: dict[str, object], examples) -> list[dict]:
-    """Score each trained variant on a dataset and tabulate F1 deltas
-    against the full model.
-
-    `checkpoints` maps each variant name to a checkpoint path; all seven
-    must be present. Rows come back in canonical order with precision,
-    recall, f1 and delta_f1 fields.
-    """
-    from .decoding import greedy_decode
-    from .training import restore
-
-    missing = [v for v in ABLATION_ORDER if v not in checkpoints]
-    if missing:
-        raise MissingCheckpoint(f"no checkpoint for variant(s): {', '.join(missing)}")
-    rows = []
-    for variant in ABLATION_ORDER:
-        params, _, _, _, _ = restore(checkpoints[variant])
-        preds = [greedy_decode(ex, params, params.cfg) for ex in examples]
-        report = corpus_f1([(p.subtokens, ex.target) for p, ex in zip(preds, examples)])
-        rows.append({"variant": variant, "precision": report.precision,
-                     "recall": report.recall, "f1": report.f1})
-    base = rows[0]["f1"]
-    for row in rows:
-        row["delta_f1"] = row["f1"] - base
-    return rows
-
-
-def ablation_report_lines(rows: list[dict]) -> list[str]:
-    out = ["variant\tprecision\trecall\tf1\tdelta_f1"]
-    for row in rows:
-        out.append(f"{row['variant']}\t{row['precision']:.4f}\t{row['recall']:.4f}"
-                   f"\t{row['f1']:.4f}\t{row['delta_f1']:+.4f}")
-    return out

@@ -300,20 +300,20 @@ class _Parser:
         pname = self.expect("id")
         return node(K_PARAM, ptype, terminal(pname.text))
 
-    def type_node(self) -> AstNode:
+    def type_node(self, arrays: bool = True) -> AstNode:
+        """A primitive or class type, followed by any `[]` pairs unless
+        `arrays` is off (after `new`, a `[` opens the size expression)."""
         tok = self.peek()
         if tok.type == "kw" and tok.text in PRIMITIVE_TYPES:
             self.advance()
             base = node(K_PRIMITIVE, terminal(tok.text))
-        elif tok.type == "kw" and tok.text == "String":
-            self.advance()
-            base = node(K_CLASSTYPE, terminal(tok.text))
-        elif tok.type == "id":
+        elif (tok.type == "kw" and tok.text == "String") or tok.type == "id":
             self.advance()
             base = node(K_CLASSTYPE, terminal(tok.text))
         else:
             self.error(f"expected a type, found {tok.text or 'end of input'!r}")
-        while self.at("punc", "[") and self.peek(1).type == "punc" and self.peek(1).text == "]":
+        while arrays and self.at("punc", "[") and self.peek(1).type == "punc" \
+                and self.peek(1).text == "]":
             self.advance()
             self.advance()
             base = node(K_ARRAYTYPE, base)
@@ -501,7 +501,7 @@ class _Parser:
             return node(K_BOOLLIT, terminal(tok.text))
         if tok.type == "kw" and tok.text == "new":
             self.advance()
-            ntype = self.type_node_no_array()
+            ntype = self.type_node(arrays=False)
             if self.accept("punc", "["):
                 size = self.expression()
                 self.expect("punc", "]")
@@ -518,16 +518,6 @@ class _Parser:
             self.advance()
             return node(K_NAME, terminal(tok.text))
         self.error(f"expected an expression, found {tok.text or 'end of input'!r}")
-
-    def type_node_no_array(self) -> AstNode:
-        tok = self.peek()
-        if tok.type == "kw" and tok.text in PRIMITIVE_TYPES:
-            self.advance()
-            return node(K_PRIMITIVE, terminal(tok.text))
-        if (tok.type == "kw" and tok.text == "String") or tok.type == "id":
-            self.advance()
-            return node(K_CLASSTYPE, terminal(tok.text))
-        self.error(f"expected a type after 'new', found {tok.text or 'end of input'!r}")
 
 
 def parse_method(src: SourceUnit) -> Ast:

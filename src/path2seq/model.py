@@ -64,6 +64,9 @@ class ModelConfig:
                      "d_decoder", "k", "max_target_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("input_dropout", "recurrent_dropout"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
         # the start state is zero-padded into the decoder state, so the
         # decoder can be wider than d_hidden but never narrower
         if self.d_decoder < self.d_hidden:
@@ -207,39 +210,6 @@ def choose_context_indices(n_contexts: int, k: int, rng: np.random.Generator,
     if not training:
         return list(range(min(k, n_contexts)))
     return sample_paths(list(range(n_contexts)), k, rng)
-
-
-def encode_token(params: ModelParams, subtoken_ids: np.ndarray) -> nx.Tensor:
-    """Token vector: the sum of its subtoken embedding rows."""
-    return nx.sum_rows(nx.embedding(params.E_source, np.asarray(subtoken_ids, dtype=np.intp)))
-
-
-def encode_path_context(params: ModelParams, ids: ContextIds, cfg: ModelConfig,
-                        rng: np.random.Generator, training: bool) -> nx.Tensor:
-    """Combined vector of one context: tanh(W_in [path; left; right]) with
-    dropout on the concatenation while training."""
-    parts = []
-    if params.uses_paths:
-        seq = [nx.Tensor(params.E_nodes.data[i], (params.E_nodes,),
-                         (lambda idx: lambda g: ((params.E_nodes, _one_row(params.E_nodes, idx, g)),))(i))
-               for i in ids.node_ids]
-        parts.append(nx.bilstm_final_states(params.path_fwd, params.path_bwd, seq))
-    if params.uses_tokens:
-        if params.ablation == "no_token_split":
-            parts.append(encode_token(params, np.array([ids.left_full])))
-            parts.append(encode_token(params, np.array([ids.right_full])))
-        else:
-            parts.append(encode_token(params, ids.left_ids))
-            parts.append(encode_token(params, ids.right_ids))
-    x = parts[0] if len(parts) == 1 else nx.concat(parts, axis=-1)
-    x = nx.dropout(x, cfg.input_dropout, rng, training)
-    return nx.tanh(nx.vm(x, params.W_in))
-
-
-def _one_row(table: nx.Parameter, idx: int, g: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(table.data)
-    acc[idx] += g
-    return acc
 
 
 def _padded_ids(id_lists: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -167,12 +167,6 @@ def pad_tail(x: Tensor, width: int) -> Tensor:
     return Tensor(out, (x,), lambda g: ((x, g[:n]),))
 
 
-def sum_rows(m: Tensor) -> Tensor:
-    _need(m.data.ndim == 2, f"sum_rows on {m.shape}")
-    return Tensor(m.data.sum(axis=0), (m,),
-                  lambda g: ((m, np.broadcast_to(g, m.shape).copy()),))
-
-
 def mean_rows(m: Tensor) -> Tensor:
     _need(m.data.ndim == 2, f"mean_rows on {m.shape}")
     n = m.shape[0]
@@ -420,20 +414,6 @@ def lstm_final_state(cell: LstmCellParams, inputs: list[Tensor],
         else:
             h, c = h_new, c_new
     return h
-
-
-def bilstm_final_states(cell_fwd: LstmCellParams, cell_bwd: LstmCellParams,
-                        sequence: list[Tensor]) -> Tensor:
-    """[forward final state ; backward final state] of one sequence of
-    input vectors, length 2 * hidden."""
-    if not sequence:
-        raise EmptySequence("bilstm over an empty sequence")
-    rows = [Tensor(x.data.reshape(1, -1), (x,), (lambda xx: lambda g: ((xx, g[0]),))(x))
-            for x in sequence]
-    h_fwd = lstm_final_state(cell_fwd, rows)
-    h_bwd = lstm_final_state(cell_bwd, list(reversed(rows)))
-    out2d = concat([h_fwd, h_bwd], axis=1)
-    return Tensor(out2d.data[0], (out2d,), lambda g: ((out2d, g.reshape(1, -1)),))
 
 
 # --- optimizer ---

@@ -13,7 +13,7 @@ slot and never take part in paths.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,10 +24,6 @@ from .errors import Path2SeqError
 
 class TooFewTerminals(Path2SeqError):
     kind = "too-few-terminals"
-
-
-class VocabularyOverflow(Path2SeqError):
-    kind = "vocabulary-overflow"
 
 
 class MalformedDatasetLine(Path2SeqError):
@@ -44,16 +40,12 @@ class ExtractionConfig:
     max_path_length: int = 9  # interior (nonterminal) nodes per path
     max_paths_per_example: int = 200
     rng_seed: int = 0
-    # reserved: no width limit is applied to paths today
-    max_path_width: int | None = None
 
     def __post_init__(self):
         if self.max_path_length < 1:
             raise ValueError("max_path_length must be >= 1")
         if self.max_paths_per_example < 1:
             raise ValueError("max_paths_per_example must be >= 1")
-        if self.max_path_width is not None:
-            raise ValueError("max_path_width is reserved and must stay unset")
 
 
 @dataclass(frozen=True)
@@ -65,11 +57,6 @@ class AstPath:
     steps: tuple[tuple[str, Direction], ...]  # (kind name, leg direction)
     left: AstNode
     right: AstNode
-
-    @property
-    def length(self) -> int:
-        # node count including both terminals
-        return len(self.steps) + 2
 
 
 @dataclass(frozen=True)
@@ -150,17 +137,6 @@ def render_path_symbols(path: AstPath) -> list[str]:
             symbols.append(kind)
         else:
             symbols.append(kind + direction.value)
-    return symbols
-
-
-def rendered_symbol_vocabulary(kind_names: list[str], budget: int = 364) -> list[str]:
-    """Every symbol the renderer can emit for a kind set; raises when the
-    set would overflow the budget."""
-    symbols = []
-    for name in kind_names:
-        symbols.extend((name, name + "^", name + "_"))
-    if len(symbols) > budget:
-        raise VocabularyOverflow(f"{len(symbols)} rendered symbols exceed budget {budget}")
     return symbols
 
 

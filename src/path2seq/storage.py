@@ -5,8 +5,8 @@ Layout (all integers little-endian):
     magic "P2SQ" | u32 version | u32 record count | records... | u32 crc32
 
 Each record: u32 name length, UTF-8 name, u8 dtype tag, u8 rank,
-u64 dims[rank], raw payload bytes. Tags: 0 = float64 tensor, 1 = float32
-tensor, 2 = int64 tensor, 3 = UTF-8 blob (rank 1, dim = byte length).
+u64 dims[rank], raw payload bytes. Tags: 0 = float64 tensor, 3 = UTF-8
+blob (rank 1, dim = byte length); any other tag marks the file corrupt.
 The trailing crc32 covers every record byte; the loader checks magic,
 version, checksum and that the file holds exactly the declared records.
 """
@@ -23,8 +23,7 @@ from .errors import Path2SeqError
 MAGIC = b"P2SQ"
 VERSION = 1
 
-TAG_F64, TAG_F32, TAG_I64, TAG_BYTES = 0, 1, 2, 3
-_TAG_DTYPE = {TAG_F64: "<f8", TAG_F32: "<f4", TAG_I64: "<i8"}
+TAG_F64, TAG_BYTES = 0, 3
 
 
 class CheckpointError(Path2SeqError):
@@ -45,24 +44,18 @@ def _encode_record(name: str, value) -> bytes:
         tag, dims, payload = TAG_BYTES, (len(value),), value
     else:
         arr = np.ascontiguousarray(value)
-        if arr.dtype == np.float64:
-            tag = TAG_F64
-        elif arr.dtype == np.float32:
-            tag = TAG_F32
-        elif arr.dtype == np.int64:
-            tag = TAG_I64
-        else:
+        if arr.dtype != np.float64:
             raise CheckpointError(f"unsupported dtype {arr.dtype} for record {name!r}")
-        dims = arr.shape
-        payload = arr.astype(_TAG_DTYPE[tag], copy=False).tobytes()
+        tag, dims = TAG_F64, arr.shape
+        payload = arr.astype("<f8", copy=False).tobytes()
     head = struct.pack("<I", len(name_b)) + name_b + struct.pack("<BB", tag, len(dims))
     head += struct.pack(f"<{len(dims)}Q", *dims)
     return head + payload
 
 
 def write_records(path, records: list[tuple[str, object]]):
-    """Write named records in order. Values: numpy arrays (f64/f32/i64) or
-    raw bytes."""
+    """Write named records in order. Values: float64 numpy arrays or raw
+    bytes."""
     body = b"".join(_encode_record(name, value) for name, value in records)
     blob = MAGIC + struct.pack("<II", VERSION, len(records)) + body
     blob += struct.pack("<I", zlib.crc32(body))
@@ -114,10 +107,9 @@ def read_records(path) -> list[tuple[str, object]]:
             if rank != 1:
                 raise CorruptFile(f"{path}: byte record {name!r} with rank {rank}")
             records.append((name, reader.take(dims[0])))
-        elif tag in _TAG_DTYPE:
+        elif tag == TAG_F64:
             size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            itemsize = np.dtype(_TAG_DTYPE[tag]).itemsize
-            arr = np.frombuffer(reader.take(size * itemsize), dtype=_TAG_DTYPE[tag])
+            arr = np.frombuffer(reader.take(size * 8), dtype="<f8")
             records.append((name, arr.reshape(dims).copy()))
         else:
             raise CorruptFile(f"{path}: unknown dtype tag {tag} in record {name!r}")

@@ -170,6 +170,23 @@ def random_tree(rng: np.random.Generator, max_terminals: int = 12) -> Ast:
     return Ast(root)
 
 
+def structurally_equal(left: Ast, right: Ast) -> bool:
+    """Compare kind names, terminal values and child shapes; ignores ids."""
+    stack = [(left.root, right.root)]
+    while stack:
+        x, y = stack.pop()
+        if x.is_terminal != y.is_terminal:
+            return False
+        if x.is_terminal:
+            if x.value != y.value:
+                return False
+            continue
+        if x.kind.name != y.kind.name or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
+
+
 def oracle_ancestor_chain(ast: Ast, node_id: int) -> list[int]:
     chain = [node_id]
     while ast.parents[chain[-1]] != -1:

@@ -12,10 +12,9 @@ import pytest
 from helpers import (corpus_examples, oracle_paths, random_minij_method,
                      synth_corpus, synth_split, tiny_setup)
 from path2seq import numerics as nx
-from path2seq.cli import main as cli_main
+from path2seq.cli import ablation_report, ablation_report_lines, main as cli_main
 from path2seq.decoding import greedy_decode
-from path2seq.metrics import (ablation_report, ablation_report_lines, corpus_f1,
-                              smoothed_bleu, subtoken_f1)
+from path2seq.metrics import corpus_f1, smoothed_bleu, subtoken_f1
 from path2seq.minij import SourceUnit, extract_target_name, parse_method
 from path2seq.model import (ABLATIONS, ModelConfig, ModelParams, forward_loss)
 from path2seq.paths import (Example, ExtractionConfig, PathContext,

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_lca, random_tree
-from path2seq.ast_core import (Ast, InvalidNodeId, MalformedAstText, NodeKind,
-                               lowest_common_ancestor, node, parse_ast_text,
-                               serialize_ast, structurally_equal, terminal,
-                               terminals)
+from helpers import random_tree, structurally_equal
+from path2seq.ast_core import (Ast, MalformedAstText, NodeKind, node, parse_ast_text,
+                               serialize_ast, terminal, terminals)
 from path2seq.minij import SourceUnit, extract_target_name, parse_method
 
 
@@ -19,7 +17,7 @@ def small_tree():
 class TestNodeModel:
     def test_preorder_ids_are_contiguous(self):
         ast = small_tree()
-        assert [n.node_id for n in ast.nodes] == list(range(ast.node_count))
+        assert [n.node_id for n in ast.nodes] == list(range(len(ast.nodes)))
         assert ast.parents[0] == -1
 
     def test_parent_index_consistent_with_children(self):
@@ -33,7 +31,7 @@ class TestNodeModel:
         for _ in range(50):
             ast = random_tree(rng)
             edges = sum(len(n.children) for n in ast.nodes)
-            assert edges == ast.node_count - 1
+            assert edges == len(ast.nodes) - 1
 
     def test_terminal_needs_value(self):
         with pytest.raises(ValueError):
@@ -71,41 +69,6 @@ class TestTerminals:
     def test_stable_across_calls(self):
         ast = small_tree()
         assert terminals(ast) == terminals(ast)
-
-
-class TestLowestCommonAncestor:
-    def test_parent_case(self):
-        ast = small_tree()
-        # node 2 is L, node 3 is its child b
-        assert lowest_common_ancestor(ast, 2, 3) == 2
-
-    def test_siblings_under_root(self):
-        ast = small_tree()
-        a = ast.nodes[1].node_id  # terminal a
-        d = terminals(ast)[-1].node_id
-        assert lowest_common_ancestor(ast, a, d) == 0
-
-    def test_symmetry_and_oracle_on_random_trees(self):
-        rng = np.random.default_rng(17)
-        for _ in range(40):
-            ast = random_tree(rng)
-            if ast.node_count < 3:
-                continue
-            ids = rng.choice(ast.node_count, size=min(6, ast.node_count), replace=False)
-            for i in ids:
-                for j in ids:
-                    if i == j:
-                        continue
-                    got = lowest_common_ancestor(ast, int(i), int(j))
-                    assert got == oracle_lca(ast, int(i), int(j))
-                    assert got == lowest_common_ancestor(ast, int(j), int(i))
-
-    def test_invalid_ids(self):
-        ast = small_tree()
-        with pytest.raises(InvalidNodeId):
-            lowest_common_ancestor(ast, 0, 99)
-        with pytest.raises(InvalidNodeId):
-            lowest_common_ancestor(ast, 1, 1)
 
 
 class TestTextFormat:
@@ -146,7 +109,7 @@ class TestTextFormat:
 
     def test_single_terminal(self):
         ast = parse_ast_text('(NAME "x")')
-        assert ast.node_count == 1
+        assert len(ast.nodes) == 1
         assert ast.root.value == "x"
 
     def test_error_carries_byte_offset(self):

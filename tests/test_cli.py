@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import synth_corpus
-from path2seq.cli import ConfigError, main, resolve_config
+from path2seq.cli import (ConfigError, MissingCheckpoint, ablation_report, main,
+                          resolve_config)
 from path2seq.paths import read_dataset
 
 
@@ -164,6 +165,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "absent" in err
 
+    @pytest.mark.parametrize("setting", ["batch_size=0", "input_dropout=1.0",
+                                         "recurrent_dropout=1.0"])
+    def test_invalid_value_is_config_error(self, pipeline, tmp_path, capsys, setting):
+        prefix, _ = pipeline
+        out = tmp_path / "bad.p2sq"
+        assert run_cli("train", prefix, out, "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert f"error: config-error: {setting.split('=')[0]} must be" in err
+        assert not Path(f"{out}.log").exists()
+
 
 class TestPredictCommand:
     def test_source_input(self, pipeline, tmp_path, capsys):
@@ -315,8 +326,21 @@ class TestResume:
         assert Path(f"{split}.last").read_bytes() == \
             Path(f"{straight}.last").read_bytes()
 
+    def test_resume_rejects_other_ablation(self, pipeline, tmp_path, capsys):
+        prefix, ckpt = pipeline
+        out = tmp_path / "resumed.p2sq"
+        assert run_cli("train", prefix, out, "--resume", f"{ckpt}.last",
+                       "--ablation", "no_tokens") == 1
+        assert "error: config-error: --ablation no_tokens" in capsys.readouterr().err
+        assert not Path(f"{out}.log").exists()
+
 
 class TestAblateCommand:
+    def test_missing_checkpoint_names_variant(self):
+        with pytest.raises(MissingCheckpoint) as err:
+            ablation_report({"full": "x.p2sq"}, [])
+        assert "no_tokens" in str(err.value)
+
     def test_trains_all_variants_and_reports(self, corpus_dir, tmp_path, capsys):
         prefix = tmp_path / "data"
         run_cli("preprocess", corpus_dir, prefix, "--set", "seed=1")

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from path2seq.metrics import (EmptyCandidateSet, MissingCheckpoint, ablation_report,
-                              bleu_report_lines, corpus_f1, f1_report_lines,
-                              format_prediction_line, parse_prediction_line,
-                              smoothed_bleu, subtoken_f1)
+from path2seq.metrics import (EmptyCandidateSet, bleu_report_lines, corpus_f1,
+                              f1_report_lines, format_prediction_line, smoothed_bleu,
+                              subtoken_f1)
 
 
 def reference_bleu(candidates, reference_sets):
@@ -183,15 +182,10 @@ class TestSmoothedBleu:
 class TestDumpFormat:
     def test_round_trip(self):
         line = format_prediction_line(["get", "size"], ["get", "count"], -1.25)
-        gold, pred, score = parse_prediction_line(line)
-        assert gold == ["get", "size"]
-        assert pred == ["get", "count"]
-        assert score == pytest.approx(-1.25)
+        assert line == "get size | get count | -1.250000"
 
     def test_empty_prediction_round_trips(self):
-        line = format_prediction_line(["a"], [], -3.0)
-        gold, pred, _ = parse_prediction_line(line)
-        assert gold == ["a"] and pred == []
+        assert format_prediction_line(["a"], [], -3.0) == "a |  | -3.000000"
 
     def test_report_lines_shape(self):
         report = corpus_f1([(["a"], ["a"])])
@@ -200,10 +194,3 @@ class TestDumpFormat:
         assert len(lines) == 4
         bleu = smoothed_bleu([["a", "b"]], [[["a", "b"]]])
         assert len(bleu_report_lines(bleu)) == 2
-
-
-class TestAblationReport:
-    def test_missing_checkpoint_names_variant(self):
-        with pytest.raises(MissingCheckpoint) as err:
-            ablation_report({"full": "x.p2sq"}, [])
-        assert "no_tokens" in str(err.value)

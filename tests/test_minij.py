@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_minij_method
-from path2seq.ast_core import serialize_ast, structurally_equal, terminals
+from helpers import random_minij_method, structurally_equal
+from path2seq.ast_core import serialize_ast, terminals
 from path2seq.minij import (ALL_KINDS, NotAMethod, ParseError, SourceUnit,
                             extract_target_name, parse_method, split_methods,
                             tokenize)
@@ -108,7 +108,7 @@ class TestParser:
         # hand-drawn: MethodDecl(PrimitiveType(int), f, Param(PrimitiveType(int), x),
         #                        Block(ReturnStmt(Name(x)))) = 12 nodes
         ast = parse_method(SourceUnit("int f(int x){return x;}"))
-        assert ast.node_count == 12
+        assert len(ast.nodes) == 12
         assert kinds_in(ast) == ["MethodDecl", "PrimitiveType", "Param",
                                  "PrimitiveType", "Block", "ReturnStmt", "Name"]
         assert [t.value for t in terminals(ast)] == ["int", "f", "int", "x", "x"]
@@ -138,6 +138,11 @@ class TestParser:
     def test_new_array(self):
         ks = kinds_in(parse_method(SourceUnit("void f(){int[] a = new int[3];}")))
         assert "NewArray" in ks
+
+    def test_new_needs_a_type(self):
+        with pytest.raises(ParseError) as err:
+            parse_method(SourceUnit("void f(){x = new 3;}"))
+        assert err.value.message == "expected a type, found '3'"
 
     def test_deterministic(self):
         a = parse_method(SourceUnit(FIG_DO_WHILE))

@@ -6,8 +6,7 @@ from path2seq import numerics as nx
 from path2seq.model import (AllMasked, EmptyContexts, ModelConfig, ModelParams,
                             TARGET_EOS_ID, TARGET_SOS_ID, attention_step,
                             choose_context_indices, decode_step, encode_example,
-                            encode_path_context, encode_token, ensure_ids,
-                            forward_loss, start_decoder_state)
+                            ensure_ids, forward_loss, start_decoder_state)
 from path2seq.paths import Example, PathContext
 from path2seq.vocab import build_vocabularies
 
@@ -70,74 +69,33 @@ def scalar_loss_oracle(example, params, cfg):
 
 
 class TestEncodeToken:
+    """A token vector is `embedding_bag_sum` of its subtoken rows."""
+
+    @staticmethod
+    def bags(params, *id_lists):
+        flat = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in id_lists])
+        starts = np.concatenate([[0], np.cumsum([len(ids) for ids in id_lists])])
+        return nx.embedding_bag_sum(params.E_source, flat, starts).data
+
     def test_single_known_subtoken_is_its_row(self):
         examples, vocabs, cfg, params = tiny_setup()
         idx = vocabs.source.id("alpha")
-        out = encode_token(params, np.array([idx]))
-        assert np.array_equal(out.data, params.E_source.data[idx])
+        out = self.bags(params, [idx])
+        assert np.array_equal(out[0], params.E_source.data[idx])
 
     def test_additivity(self):
         examples, vocabs, cfg, params = tiny_setup()
         a, b = vocabs.source.id("alpha"), vocabs.source.id("beta")
-        both = encode_token(params, np.array([a, b])).data
-        assert np.allclose(both, encode_token(params, np.array([a])).data +
-                           encode_token(params, np.array([b])).data)
+        both, only_a, only_b = self.bags(params, [a, b], [a], [b])
+        assert np.allclose(both, only_a + only_b)
 
     def test_all_oov_is_unk_times_count(self):
         examples, vocabs, cfg, params = tiny_setup()
         unk = vocabs.source.unk_id
-        ids = np.array(vocabs.source.ids(["zzz", "yyy", "xxx"]))
-        assert np.all(ids == unk)
-        out = encode_token(params, ids)
-        assert np.allclose(out.data, 3 * params.E_source.data[unk])
-
-
-class TestEncodePathContext:
-    def test_shape_and_range(self):
-        examples, vocabs, cfg, params = tiny_setup()
-        ids = ensure_ids(examples[0], vocabs).contexts[0]
-        z = encode_path_context(params, ids, cfg, np.random.default_rng(0), False)
-        assert z.data.shape == (cfg.d_hidden,)
-        assert np.all(np.abs(z.data) < 1.0)
-
-    def test_zero_w_in_zero_output(self):
-        examples, vocabs, cfg, params = tiny_setup()
-        params.W_in.data[...] = 0.0
-        for ctx_ids in ensure_ids(examples[0], vocabs).contexts:
-            z = encode_path_context(params, ctx_ids, cfg, np.random.default_rng(0), False)
-            assert np.all(z.data == 0.0)
-
-    def test_gradient_vs_finite_differences(self):
-        examples, vocabs, cfg, params = tiny_setup()
-        ids = ensure_ids(examples[0], vocabs).contexts[0]
-        mix = np.random.default_rng(5).standard_normal(cfg.d_hidden)
-
-        def value():
-            z = encode_path_context(params, ids, cfg, np.random.default_rng(0), False)
-            return float(z.data @ mix)
-
-        z = encode_path_context(params, ids, cfg, np.random.default_rng(0), False)
-        loss = nx.Tensor(z.data @ mix, (z,), lambda g: ((z, g * mix),))
-        nx.backward(loss)
-        eps = 1e-5
-        checked = 0
-        for p in params.parameters():
-            if p.name.startswith(("E_target", "decoder", "W_a", "W_c", "W_s")):
-                continue
-            flat_idx = [idx for idx in np.ndindex(p.data.shape)][::max(1, p.data.size // 4)]
-            for idx in flat_idx:
-                orig = p.data[idx]
-                p.data[idx] = orig + eps
-                hi = value()
-                p.data[idx] = orig - eps
-                lo = value()
-                p.data[idx] = orig
-                fd = (hi - lo) / (2 * eps)
-                an = p.grad[idx]
-                if max(abs(fd), abs(an)) > 1e-10:
-                    assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4
-                    checked += 1
-        assert checked > 20
+        ids = vocabs.source.ids(["zzz", "yyy", "xxx"])
+        assert all(i == unk for i in ids)
+        out = self.bags(params, ids)
+        assert np.allclose(out[0], 3 * params.E_source.data[unk])
 
 
 class TestEncodeExample:
@@ -169,6 +127,12 @@ class TestEncodeExample:
         examples, vocabs, cfg, params = tiny_setup()
         enc = encode_example(params, examples[0], cfg, np.random.default_rng(0), False)
         assert np.all(np.abs(enc.Z.data) <= 1.0)
+
+    def test_zero_w_in_zero_output(self):
+        examples, vocabs, cfg, params = tiny_setup()
+        params.W_in.data[...] = 0.0
+        enc = encode_example(params, examples[0], cfg, np.random.default_rng(0), False)
+        assert np.all(enc.Z.data == 0.0)
 
     def test_empty_contexts_error(self):
         examples, vocabs, cfg, params = tiny_setup()

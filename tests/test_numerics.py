@@ -211,6 +211,9 @@ class TestLstm:
 
 
 class TestBilstm:
+    """The path encoder's two directions: `lstm_final_state` over a ragged
+    row batch with step masks, and over the same rows reversed."""
+
     def cell_pair(self, seed=0, shared=False):
         rng = np.random.default_rng(seed)
         fwd = nx.LstmCellParams(3, 4, "fwd", rng)
@@ -218,32 +221,51 @@ class TestBilstm:
             return fwd, fwd
         return fwd, nx.LstmCellParams(3, 4, "bwd", rng)
 
+    def final_states(self, cell, rows):
+        """Last valid state per row, with rows zero-padded to one width."""
+        width = max(len(r) for r in rows)
+        inputs = [nx.constant(np.stack([r[t] if t < len(r) else np.zeros(3) for r in rows]))
+                  for t in range(width)]
+        masks = [np.array([[float(t < len(r))] for r in rows]) for t in range(width)]
+        return nx.lstm_final_state(cell, inputs, masks).data
+
+    def bidirectional(self, fwd, bwd, rows):
+        return np.concatenate([self.final_states(fwd, rows),
+                               self.final_states(bwd, [r[::-1] for r in rows])], axis=1)
+
     def test_length_one_sequence(self):
         fwd, bwd = self.cell_pair(shared=True)
-        x = nx.constant(np.random.default_rng(1).standard_normal(3))
-        out = nx.bilstm_final_states(fwd, bwd, [x])
-        assert out.data.shape == (8,)
+        out = self.bidirectional(fwd, bwd, [np.random.default_rng(1).standard_normal((1, 3))])
+        assert out.shape == (1, 8)
         # both directions see the same single input with the same weights
-        assert np.array_equal(out.data[:4], out.data[4:])
+        assert np.array_equal(out[0, :4], out[0, 4:])
 
     def test_reversal_swaps_halves(self):
         fwd, bwd = self.cell_pair(shared=True)
-        rng = np.random.default_rng(2)
-        seq = [nx.constant(rng.standard_normal(3)) for _ in range(5)]
-        fwd_out = nx.bilstm_final_states(fwd, bwd, seq).data
-        rev_out = nx.bilstm_final_states(fwd, bwd, list(reversed(seq))).data
+        seq = np.random.default_rng(2).standard_normal((5, 3))
+        fwd_out = self.bidirectional(fwd, bwd, [seq])[0]
+        rev_out = self.bidirectional(fwd, bwd, [seq[::-1]])[0]
         assert np.array_equal(fwd_out[:4], rev_out[4:])
         assert np.array_equal(fwd_out[4:], rev_out[:4])
 
     def test_output_length(self):
         fwd, bwd = self.cell_pair()
-        seq = [nx.constant(np.ones(3)) for _ in range(3)]
-        assert nx.bilstm_final_states(fwd, bwd, seq).data.shape == (8,)
+        rows = [np.ones((n, 3)) for n in (3, 1, 2)]
+        assert self.bidirectional(fwd, bwd, rows).shape == (3, 8)
+
+    def test_ragged_rows_match_solo_runs(self):
+        fwd, bwd = self.cell_pair(seed=3)
+        rng = np.random.default_rng(4)
+        rows = [rng.standard_normal((n, 3)) for n in (1, 4, 2, 5, 3)]
+        batched = self.bidirectional(fwd, bwd, rows)
+        for r, row in enumerate(rows):
+            solo = self.bidirectional(fwd, bwd, [row])[0]
+            assert np.allclose(batched[r], solo, rtol=0, atol=1e-12)
 
     def test_empty_sequence(self):
-        fwd, bwd = self.cell_pair()
+        fwd, _ = self.cell_pair()
         with pytest.raises(nx.EmptySequence):
-            nx.bilstm_final_states(fwd, bwd, [])
+            nx.lstm_final_state(fwd, [])
 
 
 class TestDropout:

@@ -9,8 +9,7 @@ from path2seq.minij import SourceUnit, extract_target_name, parse_method
 from path2seq.paths import (AstPath, Direction, ExtractionConfig,
                             MalformedDatasetLine, TooFewTerminals, build_example,
                             enumerate_paths, format_example, parse_example_line,
-                            render_path_symbols, rendered_symbol_vocabulary,
-                            sample_paths, split_subtokens, VocabularyOverflow)
+                            render_path_symbols, sample_paths, split_subtokens)
 
 CFG = ExtractionConfig()
 
@@ -44,7 +43,7 @@ class TestEnumeratePaths:
         ast = Ast(node(NodeKind("P"), terminal("a"), terminal("b")))
         paths = enumerate_paths(ast, CFG)
         assert len(paths) == 1
-        assert paths[0].length == 3
+        assert len(paths[0].steps) == 1
         assert paths[0].steps == (("P", Direction.UP),)
 
     def test_too_few_terminals(self):
@@ -145,13 +144,6 @@ class TestRenderPathSymbols:
         by_symbols = [render_path_symbols(p) for p in enumerate_paths(masked, CFG)]
         # return-type int to parameter-type int, hand-walked on the tree
         assert ["PrimitiveType^", "MethodDecl", "Param_", "PrimitiveType_"] in by_symbols
-
-    def test_vocabulary_budget(self):
-        from path2seq.minij import ALL_KINDS
-        symbols = rendered_symbol_vocabulary([k.name for k in ALL_KINDS])
-        assert len(symbols) == 3 * len(ALL_KINDS) <= 364
-        with pytest.raises(VocabularyOverflow):
-            rendered_symbol_vocabulary([f"K{i}" for i in range(200)])
 
 
 class TestSplitSubtokens:
