@@ -23,7 +23,7 @@ from .metrics import (bleu_report_lines, corpus_f1, f1_report_lines,
                       format_prediction_line, smoothed_bleu)
 from .minij import extract_target_name, parse_method, split_methods
 from .model import ABLATIONS, ModelConfig, ModelParams
-from .paths import (ExtractionConfig, build_example, parse_example_line,
+from .paths import (Example, ExtractionConfig, build_example, parse_example_line,
                     read_dataset, write_dataset)
 from .training import TrainConfig, TrainState, checkpoint, make_rng, restore, train
 from .vocab import Vocabularies, build_vocabularies
@@ -79,8 +79,11 @@ CONFIG_SPEC = {
 }
 
 
-def resolve_config(config_path: str | None, overrides: list[str]) -> dict:
+def resolve_config(config_path: str | None, overrides: list[str],
+                   defaults: dict | None = None) -> dict:
+    """Every key from `defaults` over CONFIG_SPEC's, the file, then --set."""
     values = {key: default for key, (_, default) in CONFIG_SPEC.items()}
+    values.update(defaults or {})
 
     def apply(key: str, raw: str, where: str):
         if key not in CONFIG_SPEC:
@@ -234,31 +237,40 @@ def cmd_preprocess(args) -> int:
 
 # --- train ---
 
+def checkpoint_values(restored: tuple) -> dict:
+    """The model, training and extraction config values `restore` returned."""
+    params, _, _, tcfg, ecfg = restored
+    values = {**params.cfg.to_dict(), **tcfg.to_dict()}
+    if ecfg is not None:
+        values["max_path_length"] = ecfg.max_path_length
+    return values
+
+
 def run_training(values: dict, data_prefix: str, out_path: str,
-                 ablation: str | None = None, resume: str | None = None,
-                 quiet: bool = False):
+                 resume: tuple | None = None, quiet: bool = False):
     """Train on `{data_prefix}.train.c2s`, validating on the val split when
     it holds examples. Each epoch adds a line to `{out_path}.log`, writes
     `{out_path}.last` and, when validation improves (or there is no
     validation split), `out_path`.
 
-    A fresh run builds the model from `values`; `ablation` overrides the
-    configured variant. With `resume`, model and optimizer settings come
-    from that checkpoint, only max_epochs and patience from `values`, and
-    an `ablation` other than the checkpoint's is rejected.
+    A fresh run builds the model from `values`. `resume` is what `restore`
+    returned for the checkpoint to continue: `values` may then differ from
+    it only in max_epochs and patience, and any other model, training or
+    extraction key that differs is a ConfigError naming that key.
     """
     train_ex = read_dataset(f"{data_prefix}.train.c2s")
     val_path = Path(f"{data_prefix}.val.c2s")
     val_ex = read_dataset(val_path) if val_path.exists() and val_path.stat().st_size else []
     if resume:
-        params, state, rng, tcfg, ecfg = restore(resume)
-        if ablation is not None and ablation != tcfg.ablation:
-            raise ConfigError(f"--ablation {ablation} does not match the resumed "
-                              f"checkpoint's variant {tcfg.ablation}")
+        params, state, rng, tcfg, ecfg = resume
+        for key, fixed in checkpoint_values(resume).items():
+            if key not in ("max_epochs", "patience") and values[key] != fixed:
+                raise ConfigError(f"{key}={values[key]} differs from the resumed "
+                                  f"checkpoint's {key}={fixed}")
         tcfg.max_epochs = values["max_epochs"]
         tcfg.patience = values["patience"]
     else:
-        tcfg = train_config(values if ablation is None else {**values, "ablation": ablation})
+        tcfg = train_config(values)
         ecfg = extraction_config(values)
         vocabs = Vocabularies.load(f"{data_prefix}.vocab.json")
         params = ModelParams(model_config(values), vocabs, ablation=tcfg.ablation,
@@ -282,15 +294,17 @@ def run_training(values: dict, data_prefix: str, out_path: str,
 
 
 def cmd_train(args) -> int:
-    values = resolve_config(args.config, args.set)
+    # on resume, the checkpoint's settings are the defaults
+    resume = restore(args.resume) if args.resume else None
+    values = resolve_config(args.config, args.set,
+                            checkpoint_values(resume) if resume else None)
     if args.ablation:
         values["ablation"] = args.ablation
     log_config(values)
     prefix = f"{args.data_prefix}.train.c2s"
     if not Path(prefix).exists():
         raise ConfigError(f"dataset not found: {prefix}")
-    run_training(values, args.data_prefix, args.out, ablation=args.ablation,
-                 resume=args.resume)
+    run_training(values, args.data_prefix, args.out, resume=resume)
     return 0
 
 
@@ -461,7 +475,8 @@ def cmd_ablate(args) -> int:
     for variant in ABLATIONS:
         path = out_dir / f"{variant}.p2sq"
         print(f"training variant {variant}", file=sys.stderr)
-        run_training(values, args.data_prefix, str(path), ablation=variant, quiet=True)
+        run_training({**values, "ablation": variant}, args.data_prefix, str(path),
+                     quiet=True)
         checkpoints[variant] = str(path)
     test_ex = read_dataset(f"{args.data_prefix}.test.c2s")
     rows = ablation_report(checkpoints, test_ex)

@@ -16,7 +16,8 @@ import numpy as np
 from . import numerics as nx
 from .errors import Path2SeqError
 from .model import (TARGET_EOS_ID, TARGET_PAD_ID, TARGET_SOS_ID, ModelConfig,
-                    ModelParams, decode_step, encode_example, start_decoder_state)
+                    ModelParams, decode_step, encode_example, name_distribution,
+                    start_decoder_state)
 from .paths import Example
 
 
@@ -45,7 +46,7 @@ def _trace_row(alpha: np.ndarray, order: list[int]) -> list[tuple[int, float]]:
 
 def _step_log_probs(dist: nx.Tensor) -> np.ndarray:
     # PAD and SOS are never candidates
-    logp = np.log(np.maximum(dist.data, 1e-300))
+    logp = np.log(np.maximum(dist.data[0], 1e-300))
     logp[TARGET_PAD_ID] = -np.inf
     logp[TARGET_SOS_ID] = -np.inf
     return logp
@@ -71,7 +72,7 @@ def greedy_decode(example: Example, params: ModelParams, cfg: ModelConfig) -> Pr
             choice = int(np.argmax(logp))
         score += float(logp[choice])
         if alpha is not None:
-            trace.append(_trace_row(alpha.data, enc.order))
+            trace.append(_trace_row(alpha.data[0], enc.order))
         if choice == TARGET_EOS_ID:
             break
         subtokens.append(target_vocab.symbol(choice))
@@ -82,10 +83,10 @@ def greedy_decode(example: Example, params: ModelParams, cfg: ModelConfig) -> Pr
 
 
 def _decode_whole_name(example: Example, params: ModelParams, enc) -> Prediction:
-    dist = nx.softmax_1d(nx.vm(enc.h0, params.W_name))
-    choice = int(np.argmax(dist.data))
+    probs = name_distribution(params, enc).data[0]
+    choice = int(np.argmax(probs))
     name = params.vocabs.names.symbol(choice)
-    return Prediction(subtokens=name.split("|"), score=float(np.log(dist.data[choice])),
+    return Prediction(subtokens=name.split("|"), score=float(np.log(probs[choice])),
                       attention_trace=[], n_contexts=len(example.contexts))
 
 
@@ -134,9 +135,12 @@ def beam_decode(example: Example, params: ModelParams, cfg: ModelConfig,
             if step >= cfg.max_target_len:
                 finish(hyp, float(logp[TARGET_EOS_ID]))  # forced at the cap
                 continue
-            for token in range(len(logp)):
-                if np.isfinite(logp[token]):
-                    candidates.append((-(hyp.score + logp[token]), li, token))
+            # only a hypothesis's own best beam_width tokens can survive the
+            # global cut; the stable sort keeps the (score, token) tie order
+            neg = -(hyp.score + logp)
+            for token in np.argsort(neg, kind="stable")[: beam_width]:
+                if np.isfinite(neg[token]):
+                    candidates.append((neg[token], li, int(token)))
         if step >= cfg.max_target_len:
             break
         candidates.sort()
@@ -149,7 +153,7 @@ def beam_decode(example: Example, params: ModelParams, cfg: ModelConfig,
                 continue
             trace = list(hyp.trace)
             if alpha is not None:
-                trace.append(_trace_row(alpha.data, enc.order))
+                trace.append(_trace_row(alpha.data[0], enc.order))
             next_live.append(_Hypothesis(tokens=hyp.tokens + [token],
                                          score=hyp.score + float(logp[token]),
                                          h=h, c=c, trace=trace))

@@ -3,10 +3,11 @@
 Each context is encoded independently: the rendered path symbols run
 through a bi-directional LSTM, both endpoint tokens are summed subtoken
 embeddings, and the concatenation is projected with W_in through tanh into
-a combined vector z. The decoder starts from the mean of all z vectors
-(zero-padded into the wider decoder state), attends over them with a
-bilinear score h W_a z at every step, and predicts the next target
-subtoken from softmax(W_s tanh(W_c [context; state])).
+a combined vector z, one row of Z (k', d_hidden). The decoder starts from
+the mean of all rows (zero-padded into the wider decoder state), attends
+over them with a bilinear score h W_a z at every step, and predicts the
+next target subtoken from softmax(W_s tanh(W_c [context; state])). Every
+decoder quantity is a (1, d) row, so encoder and decoder share the row ops.
 
 A context set is treated as a set: sampled contexts are put into a
 canonical order before encoding, so any permutation of the same contexts
@@ -40,10 +41,6 @@ TARGET_PAD_ID, TARGET_SOS_ID, TARGET_EOS_ID, TARGET_UNK_ID = 0, 1, 2, 3
 
 class EmptyContexts(Path2SeqError):
     kind = "empty-contexts"
-
-
-class AllMasked(Path2SeqError):
-    kind = "all-masked"
 
 
 @dataclass
@@ -195,9 +192,8 @@ def ensure_ids(example: Example, vocabs: Vocabularies) -> ExampleIds:
 @dataclass
 class EncodedExample:
     Z: nx.Tensor                 # (k', d_hidden) combined representations
-    mask: np.ndarray             # (k',) validity flags for attention
     order: list[int]             # original context index per row of Z
-    h0: nx.Tensor                # (d_hidden,) mean of all rows of Z
+    h0: nx.Tensor                # (1, d_hidden) mean of all rows of Z
 
 
 def choose_context_indices(n_contexts: int, k: int, rng: np.random.Generator,
@@ -258,7 +254,7 @@ def _encode_rows(params: ModelParams, chosen: list[ContextIds], cfg: ModelConfig
             flat = np.concatenate(lists)
             starts = np.concatenate([[0], np.cumsum([len(x) for x in lists])])
             parts.append(nx.embedding_bag_sum(params.E_source, flat, starts))
-    x = parts[0] if len(parts) == 1 else nx.concat(parts, axis=1)
+    x = parts[0] if len(parts) == 1 else nx.concat(parts)
     x = nx.dropout(x, cfg.input_dropout, rng, training)
     return nx.tanh(nx.mm(x, params.W_in))
 
@@ -278,55 +274,53 @@ def encode_example(params: ModelParams, example: Example, cfg: ModelConfig,
     order = sorted(context_indices, key=lambda i: ids.contexts[i].key)
     chosen = [ids.contexts[i] for i in order]
     Z = _encode_rows(params, chosen, cfg, rng, training)
-    h0 = nx.mean_rows(Z)
-    return EncodedExample(Z=Z, mask=np.ones(len(chosen), dtype=bool), order=order, h0=h0)
+    return EncodedExample(Z=Z, order=order, h0=nx.mean_rows(Z))
 
 
 def attention_step(params: ModelParams, h_t: nx.Tensor, Z: nx.Tensor,
-                   mask: np.ndarray) -> tuple[nx.Tensor, nx.Tensor]:
-    """Bilinear attention: scores h W_a z per row, masked softmax, then the
-    weighted average of rows as the context vector."""
-    if not np.any(mask):
-        raise AllMasked("no valid attention targets")
-    scores = nx.mv(Z, nx.vm(h_t, params.W_a))
-    alpha = nx.softmax_1d(nx.mask_scores(scores, mask))
-    c_t = nx.vm(alpha, Z)
-    return alpha, c_t
+                   ) -> tuple[nx.Tensor, nx.Tensor]:
+    """Bilinear attention of the (1, d_decoder) state over the rows of Z:
+    scores Z (h W_a)^T, a softmax over them as the (1, k') weights alpha,
+    and the weighted average alpha Z as the (1, d_hidden) context vector."""
+    scores = nx.mm(Z, nx.transpose(nx.mm(h_t, params.W_a)))
+    alpha = nx.softmax_rows(nx.transpose(scores))
+    return alpha, nx.mm(alpha, Z)
 
 
 def decode_step(params: ModelParams, prev_target_id: int, h_prev: nx.Tensor,
                 c_prev: nx.Tensor, enc: EncodedExample, training: bool,
                 ) -> tuple[nx.Tensor, nx.Tensor, nx.Tensor, nx.Tensor | None]:
-    """One decoder step: embed the previous target subtoken, advance the
-    LSTM, attend (unless disabled) and produce the next-token distribution.
+    """One decoder step on (1, d) rows: embed the previous target subtoken,
+    advance the LSTM, attend (unless disabled) and produce the (1, V)
+    next-token distribution.
 
-    Returns (distribution, h_t, c_state_t, alpha); alpha is None without
-    attention.
+    Returns (distribution, h_t, c_t, alpha); alpha is the (1, k') attention
+    row, or None without attention.
     """
-    cfg = params.cfg
     prev = nx.embedding(params.E_target, np.array([prev_target_id], dtype=np.intp))
-    h2 = nx.Tensor(h_prev.data.reshape(1, -1), (h_prev,), lambda g: ((h_prev, g[0]),))
-    c2 = nx.Tensor(c_prev.data.reshape(1, -1), (c_prev,), lambda g: ((c_prev, g[0]),))
-    h_new2, c_new2 = nx.lstm_step(params.decoder, prev, h2, c2)
-    h_t = nx.Tensor(h_new2.data[0], (h_new2,), lambda g: ((h_new2, g.reshape(1, -1)),))
-    c_state = nx.Tensor(c_new2.data[0], (c_new2,), lambda g: ((c_new2, g.reshape(1, -1)),))
+    h_t, c_t = nx.lstm_step(params.decoder, prev, h_prev, c_prev)
     alpha = None
     if params.ablation != "no_attention":
-        alpha, ctx_vec = attention_step(params, h_t, enc.Z, enc.mask)
-        combined = nx.concat([ctx_vec, h_t], axis=-1)
+        alpha, ctx_vec = attention_step(params, h_t, enc.Z)
+        combined = nx.concat([ctx_vec, h_t])
     else:
         combined = h_t
-    hidden = nx.tanh(nx.vm(combined, params.W_c))
-    dist = nx.softmax_1d(nx.vm(hidden, params.W_s))
-    return dist, h_t, c_state, alpha
+    hidden = nx.tanh(nx.mm(combined, params.W_c))
+    dist = nx.softmax_rows(nx.mm(hidden, params.W_s))
+    return dist, h_t, c_t, alpha
 
 
 def start_decoder_state(params: ModelParams, enc: EncodedExample) -> tuple[nx.Tensor, nx.Tensor]:
     """Decoder start: h0 is the pooled encoding zero-padded to the decoder
-    width; the cell state starts at zero."""
-    h = nx.pad_tail(enc.h0, params.cfg.d_decoder)
-    c = nx.constant(np.zeros(params.cfg.d_decoder))
-    return h, c
+    width; the cell state starts at zero. Both are (1, d_decoder) rows."""
+    width = params.cfg.d_decoder
+    h = nx.concat([enc.h0, nx.constant(np.zeros((1, width - enc.h0.shape[1])))])
+    return h, nx.constant(np.zeros((1, width)))
+
+
+def name_distribution(params: ModelParams, enc: EncodedExample) -> nx.Tensor:
+    """The no_decoder head: one softmax over whole names from h0, (1, |names|)."""
+    return nx.softmax_rows(nx.mm(enc.h0, params.W_name))
 
 
 def forward_loss(example: Example, params: ModelParams, cfg: ModelConfig,
@@ -340,8 +334,7 @@ def forward_loss(example: Example, params: ModelParams, cfg: ModelConfig,
         raise ValueError("example has an empty target")
     enc = encode_example(params, example, cfg, rng, training, context_indices)
     if params.ablation == "no_decoder":
-        dist = nx.softmax_1d(nx.vm(enc.h0, params.W_name))
-        return nx.cross_entropy(dist, ids.name_id)
+        return nx.cross_entropy(name_distribution(params, enc), ids.name_id)
     h, c = start_decoder_state(params, enc)
     losses = []
     prev = TARGET_SOS_ID

@@ -6,6 +6,11 @@ accumulated locally and then added into each `Parameter.grad`, so calling
 backward twice on the same graph doubles parameter gradients exactly;
 `zero_grads` resets them.
 
+Activations have one layout, the 2-D row batch: an (n, d) tensor holds n
+rows, and a single vector is a (1, d) row, or a (d, 1) column made by
+`transpose` as the right operand of `mm`. Losses are 0-d; parameters keep
+their own shapes, such as the (h,) biases `add_bias` broadcasts over rows.
+
 Everything computes and accumulates in float64. Set `DEBUG = True` to make
 every op assert its output is finite.
 """
@@ -127,50 +132,38 @@ def sigmoid(a: Tensor) -> Tensor:
 def mm(a: Tensor, b: Tensor) -> Tensor:
     _need(a.data.ndim == 2 and b.data.ndim == 2 and a.shape[1] == b.shape[0],
           f"mm {a.shape} @ {b.shape}")
-    return Tensor(a.data @ b.data, (a, b),
-                  lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
-
-
-def mv(a: Tensor, x: Tensor) -> Tensor:
-    # (m, n) @ (n,) -> (m,)
-    _need(a.data.ndim == 2 and x.data.ndim == 1 and a.shape[1] == x.shape[0],
-          f"mv {a.shape} @ {x.shape}")
-    return Tensor(a.data @ x.data, (a, x),
-                  lambda g: ((a, np.outer(g, x.data)), (x, a.data.T @ g)))
-
-
-def vm(x: Tensor, a: Tensor) -> Tensor:
-    # (m,) @ (m, n) -> (n,)
-    _need(x.data.ndim == 1 and a.data.ndim == 2 and x.shape[0] == a.shape[0],
-          f"vm {x.shape} @ {a.shape}")
-    return Tensor(x.data @ a.data, (x, a),
-                  lambda g: ((x, a.data @ g), (a, np.outer(x.data, g))))
-
-
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
-    _need(len(parts) > 0, "concat of nothing")
-    sizes = [p.shape[axis if axis >= 0 else p.data.ndim + axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
 
     def bw(g):
-        return tuple(zip(parts, np.split(g, bounds, axis=axis)))
+        # with an inner dimension of 1 a gradient is an outer product, which
+        # matmul runs in a non-BLAS loop half as fast as broadcasting
+        grad_a = g * b.data.T if b.shape[1] == 1 else g @ b.data.T
+        grad_b = a.data.T * g if a.shape[0] == 1 else a.data.T @ g
+        return ((a, grad_a), (b, grad_b))
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
+    return Tensor(a.data @ b.data, (a, b), bw)
 
 
-def pad_tail(x: Tensor, width: int) -> Tensor:
-    # zero-extend a vector; used to widen a start state to a larger cell
-    _need(x.data.ndim == 1 and width >= x.shape[0], f"pad_tail {x.shape} to {width}")
-    n = x.shape[0]
-    out = np.zeros(width)
-    out[:n] = x.data
-    return Tensor(out, (x,), lambda g: ((x, g[:n]),))
+def transpose(x: Tensor) -> Tensor:
+    # (1, d) <-> (d, 1); vectors only, so the result is a view, never a copy
+    _need(x.data.ndim == 2 and 1 in x.shape, f"transpose on {x.shape}")
+    return Tensor(x.data.T, (x,), lambda g: ((x, g.T),))
+
+
+def concat(parts: list[Tensor]) -> Tensor:
+    # row batches side by side: (n, d1), (n, d2), ... -> (n, d1 + d2 + ...)
+    _need(len(parts) > 0, "concat of nothing")
+    bounds = np.cumsum([p.shape[1] for p in parts])[:-1]
+
+    def bw(g):
+        return tuple(zip(parts, np.split(g, bounds, axis=1)))
+
+    return Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
 
 
 def mean_rows(m: Tensor) -> Tensor:
     _need(m.data.ndim == 2, f"mean_rows on {m.shape}")
     n = m.shape[0]
-    return Tensor(m.data.mean(axis=0), (m,),
+    return Tensor(m.data.mean(axis=0, keepdims=True), (m,),
                   lambda g: ((m, np.broadcast_to(g / n, m.shape).copy()),))
 
 
@@ -235,39 +228,32 @@ def softmax(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_1d(scores: Tensor) -> Tensor:
-    _need(scores.data.ndim == 1, f"softmax_1d on {scores.shape}")
+def softmax_rows(scores: Tensor) -> Tensor:
+    """Softmax along each row of an (n, k) tensor."""
+    _need(scores.data.ndim == 2, f"softmax_rows on {scores.shape}")
     out = softmax(scores.data)
     if DEBUG:
-        assert abs(out.sum() - 1.0) < 1e-12
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) < 1e-12)
 
     def bw(g):
-        return ((scores, out * (g - np.dot(g, out))),)
+        # per-row <g, out> as one BLAS dot per row; a (g * out).sum rounds
+        # differently and would change trained weights in the last bits
+        dots = np.matmul(g[:, None, :], out[:, :, None])[:, :, 0]
+        return ((scores, out * (g - dots)),)
 
     return Tensor(out, (scores,), bw)
 
 
-def mask_scores(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """Push masked-out entries to a huge negative value so softmax ignores
-    them; gradient flows only to the kept entries."""
-    mask = np.asarray(mask, dtype=bool)
-    _need(scores.data.ndim == 1 and mask.shape == scores.shape,
-          f"mask {mask.shape} on {scores.shape}")
-    out = np.where(mask, scores.data, -1e30)
-    keep = mask.astype(np.float64)
-    return Tensor(out, (scores,), lambda g: ((scores, g * keep),))
-
-
 def cross_entropy(dist: Tensor, true_index: int) -> Tensor:
-    """-ln p[true_index] of a 1-d distribution."""
-    _need(dist.data.ndim == 1, f"cross_entropy on {dist.shape}")
-    if not 0 <= true_index < dist.shape[0]:
-        raise InvalidIndex(f"class index {true_index} outside [0, {dist.shape[0]})")
-    p = dist.data[true_index]
+    """-ln p[true_index] of a (1, V) distribution row."""
+    _need(dist.data.ndim == 2 and dist.shape[0] == 1, f"cross_entropy on {dist.shape}")
+    if not 0 <= true_index < dist.shape[1]:
+        raise InvalidIndex(f"class index {true_index} outside [0, {dist.shape[1]})")
+    p = dist.data[0, true_index]
 
     def bw(g):
         acc = np.zeros_like(dist.data)
-        acc[true_index] = -g / p
+        acc[0, true_index] = -g / p
         return ((dist, acc),)
 
     return Tensor(-np.log(p), (dist,), bw)
@@ -385,7 +371,7 @@ def lstm_step(cell: LstmCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     _need(h_prev.shape == c_prev.shape == (x_t.shape[0], cell.hidden_size),
           f"lstm state {h_prev.shape}, expected ({x_t.shape[0]}, {cell.hidden_size})")
     h_in = h_prev if recurrent_mask is None else mul_const(h_prev, recurrent_mask)
-    joint = concat([x_t, h_in], axis=1)
+    joint = concat([x_t, h_in])
     gate_i = sigmoid(add_bias(mm(joint, cell.weights["input"]), cell.biases["input"]))
     gate_f = sigmoid(add_bias(mm(joint, cell.weights["forget"]), cell.biases["forget"]))
     gate_o = sigmoid(add_bias(mm(joint, cell.weights["output"]), cell.biases["output"]))

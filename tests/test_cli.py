@@ -8,6 +8,7 @@ from helpers import synth_corpus
 from path2seq.cli import (ConfigError, MissingCheckpoint, ablation_report, main,
                           resolve_config)
 from path2seq.paths import read_dataset
+from path2seq.training import restore
 
 
 @pytest.fixture(scope="module")
@@ -331,8 +332,44 @@ class TestResume:
         out = tmp_path / "resumed.p2sq"
         assert run_cli("train", prefix, out, "--resume", f"{ckpt}.last",
                        "--ablation", "no_tokens") == 1
-        assert "error: config-error: --ablation no_tokens" in capsys.readouterr().err
+        assert "error: config-error: ablation=no_tokens differs from the resumed " \
+            "checkpoint's ablation=full" in capsys.readouterr().err
         assert not Path(f"{out}.log").exists()
+
+    @pytest.fixture(scope="class")
+    def small_run(self, tmp_path_factory, corpus_dir):
+        """A one-epoch run at width 8, whose .last the tests resume."""
+        root = tmp_path_factory.mktemp("resume")
+        prefix, ckpt = root / "data", root / "small.p2sq"
+        assert run_cli("preprocess", corpus_dir, prefix, "--set", "seed=1") == 0
+        args = ["--set", "seed=3", "--set", "max_epochs=1", "--set", "batch_size=8",
+                "--set", "k=10"]
+        for key in ("d_nodes", "d_tokens", "d_hidden", "d_target", "d_path",
+                    "d_decoder"):
+            args += ["--set", f"{key}=8"]
+        assert run_cli("train", prefix, ckpt, *args) == 0
+        return prefix, ckpt
+
+    @pytest.mark.parametrize("given", ["d_hidden=16", "ablation=no_tokens"])
+    def test_resume_rejects_a_changed_setting(self, small_run, given, tmp_path, capsys):
+        prefix, ckpt = small_run
+        out = tmp_path / "resumed.p2sq"
+        assert run_cli("train", prefix, out, "--resume", f"{ckpt}.last",
+                       "--set", given) == 1
+        key = given.split("=")[0]
+        assert f"error: config-error: {given} differs from the resumed checkpoint's " \
+            f"{key}=" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_resume_takes_the_checkpoint_settings(self, small_run, tmp_path, capsys):
+        prefix, ckpt = small_run
+        out = tmp_path / "resumed.p2sq"
+        assert run_cli("train", prefix, out, "--resume", f"{ckpt}.last",
+                       "--set", "max_epochs=2") == 0
+        err = capsys.readouterr().err
+        assert "config: d_hidden=8\n" in err and "config: seed=3\n" in err
+        params, state, _, tcfg, _ = restore(f"{out}.last")
+        assert params.cfg.d_hidden == 8 and state.epoch == 2 and tcfg.max_epochs == 2
 
 
 class TestAblateCommand:

@@ -29,7 +29,7 @@ def exhaustive_best_logprob(example, params, cfg, max_len):
     best = [-np.inf]
 
     def logp(dist):
-        out = np.log(np.maximum(dist.data, 1e-300))
+        out = np.log(np.maximum(dist.data[0], 1e-300))
         out[TARGET_PAD_ID] = -np.inf
         out[TARGET_SOS_ID] = -np.inf
         return out
@@ -113,6 +113,19 @@ class TestBeam:
             exhaustive = exhaustive_best_logprob(ex, params, small, max_len=2)
             assert best_raw >= greedy_raw - 1e-12
             assert best_raw <= exhaustive + 1e-9
+
+    def test_all_ties_keep_token_order(self):
+        # W_s = 0 makes every step uniform over the 8 target symbols, so all
+        # candidates tie and only the (score, hypothesis, token) order picks
+        examples, vocabs, cfg, params = tiny_setup()
+        params.W_s.data[...] = 0.0
+        for ex in examples[:2]:
+            preds = beam_decode(ex, params, cfg, beam_width=3)
+            assert [(p.subtokens, p.score) for p in preds] == [
+                ([], -2.0794415416798357),
+                (["<UNK>"], -4.1588830833596715),
+                (["<UNK>", "<UNK>"], -6.238324625039507)]
+            assert [len(p.attention_trace) for p in preds] == [0, 1, 2]
 
     def test_bad_width(self, trained):
         examples, vocabs, cfg, params = trained

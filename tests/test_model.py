@@ -3,7 +3,7 @@ import pytest
 
 from helpers import tiny_setup, toy_examples
 from path2seq import numerics as nx
-from path2seq.model import (AllMasked, EmptyContexts, ModelConfig, ModelParams,
+from path2seq.model import (EmptyContexts, ModelConfig, ModelParams,
                             TARGET_EOS_ID, TARGET_SOS_ID, attention_step,
                             choose_context_indices, decode_step, encode_example,
                             ensure_ids, forward_loss, start_decoder_state)
@@ -111,7 +111,7 @@ class TestEncodeExample:
         ex = Example(contexts=[ctx], target=["alpha"], index=0)
         _, vocabs, cfg, params = tiny_setup([ex])
         enc = encode_example(params, ex, cfg, np.random.default_rng(0), False)
-        assert np.array_equal(enc.h0.data, enc.Z.data[0])
+        assert np.array_equal(enc.h0.data[0], enc.Z.data[0])
 
     def test_permutation_bitwise_invariant(self):
         examples, vocabs, cfg, params = tiny_setup()
@@ -155,33 +155,18 @@ class TestAttention:
         examples, vocabs, cfg, params = tiny_setup()
         row = np.random.default_rng(3).standard_normal(cfg.d_hidden)
         Z = nx.constant(np.tile(row, (5, 1)))
-        h = nx.constant(np.random.default_rng(4).standard_normal(cfg.d_decoder))
-        alpha, c_t = attention_step(params, h, Z, np.ones(5, dtype=bool))
-        assert np.array_equal(alpha.data, np.full(5, 0.2))
-
-    def test_single_valid_row(self):
-        examples, vocabs, cfg, params = tiny_setup()
-        Z = nx.constant(np.random.default_rng(5).standard_normal((4, cfg.d_hidden)))
-        h = nx.constant(np.random.default_rng(6).standard_normal(cfg.d_decoder))
-        mask = np.array([False, True, False, False])
-        alpha, c_t = attention_step(params, h, Z, mask)
-        assert alpha.data[1] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(c_t.data, Z.data[1])
+        h = nx.constant(np.random.default_rng(4).standard_normal((1, cfg.d_decoder)))
+        alpha, c_t = attention_step(params, h, Z)
+        assert np.array_equal(alpha.data, np.full((1, 5), 0.2))
+        assert c_t.shape == (1, cfg.d_hidden)
 
     def test_context_vector_in_convex_hull(self):
         examples, vocabs, cfg, params = tiny_setup()
         Z = nx.constant(np.random.default_rng(7).standard_normal((6, cfg.d_hidden)))
-        h = nx.constant(np.random.default_rng(8).standard_normal(cfg.d_decoder))
-        alpha, c_t = attention_step(params, h, Z, np.ones(6, dtype=bool))
+        h = nx.constant(np.random.default_rng(8).standard_normal((1, cfg.d_decoder)))
+        alpha, c_t = attention_step(params, h, Z)
         assert np.all(c_t.data <= Z.data.max(axis=0) + 1e-12)
         assert np.all(c_t.data >= Z.data.min(axis=0) - 1e-12)
-
-    def test_all_masked(self):
-        examples, vocabs, cfg, params = tiny_setup()
-        Z = nx.constant(np.zeros((3, cfg.d_hidden)))
-        h = nx.constant(np.zeros(cfg.d_decoder))
-        with pytest.raises(AllMasked):
-            attention_step(params, h, Z, np.zeros(3, dtype=bool))
 
 
 class TestDecodeStep:
@@ -213,9 +198,9 @@ class TestDecodeStep:
         examples, vocabs, cfg, params = tiny_setup(d_decoder=7)
         enc = encode_example(params, examples[0], cfg, np.random.default_rng(0), False)
         h, c = start_decoder_state(params, enc)
-        assert h.data.shape == (7,)
-        assert np.array_equal(h.data[:4], enc.h0.data)
-        assert np.all(h.data[4:] == 0.0)
+        assert h.data.shape == c.data.shape == (1, 7)
+        assert np.array_equal(h.data[:, :4], enc.h0.data)
+        assert np.all(h.data[:, 4:] == 0.0)
 
 
 class TestForwardLoss:
@@ -261,7 +246,7 @@ class TestForwardLoss:
         examples, vocabs, cfg, params = tiny_setup(ablation="no_decoder")
         ex = examples[0]
         enc = encode_example(params, ex, cfg, np.random.default_rng(0), False)
-        dist = nx.softmax(enc.h0.data @ params.W_name.data)
+        dist = nx.softmax(enc.h0.data[0] @ params.W_name.data)
         name_id = vocabs.names.id("|".join(ex.target))
         want = -np.log(dist[name_id])
         got = float(forward_loss(ex, params, cfg, np.random.default_rng(0),
@@ -352,3 +337,21 @@ def _gradcheck(params, examples, cfg, eps=1e-5, stride=5):
 def test_ablation_gradients_spot_checked(ablation):
     examples, vocabs, cfg, params = tiny_setup(ablation=ablation)
     assert _gradcheck(params, examples, cfg) < 1e-4
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_attention", "no_decoder"])
+def test_forward_graph_is_all_row_batches(ablation):
+    """Every activation of the loss graph is 2-D (parameters keep their own
+    shapes and the losses are 0-d): the decoder has no 1-D layout."""
+    examples, vocabs, cfg, params = tiny_setup(ablation=ablation, d_decoder=6)
+    loss = forward_loss(examples[0], params, cfg, np.random.default_rng(0), training=True)
+    seen, todo, shapes = {id(loss)}, [loss], set()
+    while todo:
+        node = todo.pop()
+        if not isinstance(node, nx.Parameter) and node.data.ndim != 0:
+            shapes.add(node.shape)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                todo.append(parent)
+    assert shapes and all(len(shape) == 2 for shape in shapes), sorted(shapes)

@@ -83,6 +83,19 @@ class TestElementOps:
         with pytest.raises(nx.ShapeMismatch):
             nx.add(nx.constant(np.ones(2)), nx.constant(np.ones(3)))
 
+    def test_transpose_row_and_column(self):
+        rng = np.random.default_rng(6)
+        row = nx.Parameter(rng.standard_normal((1, 4)), "row")
+        col = nx.transpose(row)
+        assert col.shape == (4, 1) and np.array_equal(col.data[:, 0], row.data[0])
+        weights = rng.standard_normal((4, 1))
+        loss = nx.Tensor(np.sum(col.data * weights), (col,), lambda g: ((col, g * weights),))
+        nx.backward(loss)
+        assert np.array_equal(row.grad, weights.T)
+        assert nx.transpose(col).shape == (1, 4)
+        with pytest.raises(nx.ShapeMismatch):
+            nx.transpose(nx.constant(np.ones((2, 3))))
+
     def test_elementwise_grads(self):
         rng = np.random.default_rng(9)
         a = nx.Parameter(rng.standard_normal((4, 3)), "a")
@@ -135,16 +148,17 @@ class TestSoftmax:
         assert abs(out.sum() - 1.0) < 1e-12
         assert np.all(out >= 0)
 
-    def test_softmax_1d_grad(self):
+    def test_softmax_rows_grad(self):
         rng = np.random.default_rng(3)
-        s = nx.Parameter(rng.standard_normal(5), "s")
-        weights = rng.standard_normal(5)
+        s = nx.Parameter(rng.standard_normal((2, 5)), "s")
+        weights = rng.standard_normal((2, 5))
 
         def value():
-            return float(np.dot(nx.softmax(s.data), weights))
+            return float(np.sum(nx.softmax(s.data, axis=1) * weights))
 
-        out = nx.softmax_1d(s)
-        loss = nx.Tensor(np.dot(out.data, weights), (out,),
+        out = nx.softmax_rows(s)
+        assert np.allclose(out.data.sum(axis=1), 1.0)
+        loss = nx.Tensor(np.sum(out.data * weights), (out,),
                          lambda g: ((out, g * weights),))
         nx.backward(loss)
         numeric = finite_diff(value, [s.data])
@@ -293,25 +307,29 @@ class TestDropout:
 class TestCrossEntropy:
     def test_uniform_is_log_v(self):
         for v in (2, 7, 13):
-            dist = nx.constant(np.full(v, 1.0 / v))
+            dist = nx.constant(np.full((1, v), 1.0 / v))
             assert abs(float(nx.cross_entropy(dist, 0).data) - np.log(v)) < 1e-12
 
     def test_perfect_prediction(self):
-        dist = nx.constant(np.array([0.0, 1.0, 0.0]))
+        dist = nx.constant(np.array([[0.0, 1.0, 0.0]]))
         assert float(nx.cross_entropy(dist, 1).data) == 0.0
 
     def test_batch_mean_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
-        dists = [nx.softmax(rng.standard_normal(6)) for _ in range(10)]
+        dists = [nx.softmax(rng.standard_normal((1, 6))) for _ in range(10)]
         idxs = rng.integers(0, 6, size=10)
         losses = [nx.cross_entropy(nx.constant(d), int(i)) for d, i in zip(dists, idxs)]
         mean = nx.mean_of(losses)
-        by_hand = sum(-np.log(d[i]) for d, i in zip(dists, idxs)) / 10
+        by_hand = sum(-np.log(d[0, i]) for d, i in zip(dists, idxs)) / 10
         assert abs(float(mean.data) - by_hand) < 1e-12
 
     def test_invalid_index(self):
         with pytest.raises(nx.InvalidIndex):
-            nx.cross_entropy(nx.constant(np.ones(3) / 3), 3)
+            nx.cross_entropy(nx.constant(np.ones((1, 3)) / 3), 3)
+
+    def test_needs_one_row(self):
+        with pytest.raises(nx.ShapeMismatch):
+            nx.cross_entropy(nx.constant(np.ones(3) / 3), 0)
 
 
 class TestBackward:
@@ -319,18 +337,18 @@ class TestBackward:
         # loss = sum(W x) -> dW = outer(1, x)
         rng = np.random.default_rng(1)
         w = nx.Parameter(rng.standard_normal((3, 4)), "w")
-        x = nx.constant(rng.standard_normal(4))
-        y = nx.mv(w, x)
-        loss = nx.Tensor(y.data.sum(), (y,), lambda g: ((y, np.full(3, g)),))
+        x = nx.constant(rng.standard_normal((4, 1)))
+        y = nx.mm(w, x)
+        loss = nx.Tensor(y.data.sum(), (y,), lambda g: ((y, np.full((3, 1), g)),))
         nx.backward(loss)
-        assert np.allclose(w.grad, np.outer(np.ones(3), x.data))
+        assert np.allclose(w.grad, np.outer(np.ones(3), x.data[:, 0]))
 
     def test_double_backward_doubles_exactly(self):
         rng = np.random.default_rng(2)
         w = nx.Parameter(rng.standard_normal((3, 3)), "w")
-        x = nx.constant(rng.standard_normal(3))
-        y = nx.tanh(nx.mv(w, x))
-        loss = nx.Tensor(y.data.sum(), (y,), lambda g: ((y, np.full(3, g)),))
+        x = nx.constant(rng.standard_normal((3, 1)))
+        y = nx.tanh(nx.mm(w, x))
+        loss = nx.Tensor(y.data.sum(), (y,), lambda g: ((y, np.full((3, 1), g)),))
         nx.backward(loss)
         once = w.grad.copy()
         nx.backward(loss)
