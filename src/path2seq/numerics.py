@@ -7,9 +7,11 @@ backward twice on the same graph doubles parameter gradients exactly;
 `zero_grads` resets them.
 
 Activations have one layout, the 2-D row batch: an (n, d) tensor holds n
-rows, and a single vector is a (1, d) row, or a (d, 1) column made by
-`transpose` as the right operand of `mm`. Losses are 0-d; parameters keep
-their own shapes, such as the (h,) biases `add_bias` broadcasts over rows.
+rows, and a single vector is a (1, d) row. `concat` joins row batches side
+by side or stacks them, `transpose` turns rows into the columns of a right
+operand of `mm`, and `cross_entropy` scores a whole batch of distribution
+rows. Losses are 0-d; parameters keep their own shapes, such as the (h,)
+biases `add_bias` broadcasts over rows.
 
 Everything computes and accumulates in float64. Set `DEBUG = True` to make
 every op assert its output is finite.
@@ -144,20 +146,21 @@ def mm(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
-    # (1, d) <-> (d, 1); vectors only, so the result is a view, never a copy
-    _need(x.data.ndim == 2 and 1 in x.shape, f"transpose on {x.shape}")
+    # a view for a (1, d) row or a (d, 1) column; a wider matrix is copied
+    _need(x.data.ndim == 2, f"transpose on {x.shape}")
     return Tensor(x.data.T, (x,), lambda g: ((x, g.T),))
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    # row batches side by side: (n, d1), (n, d2), ... -> (n, d1 + d2 + ...)
+def concat(parts: list[Tensor], axis: int = 1) -> Tensor:
+    # axis 1 puts row batches side by side: (n, d1), (n, d2) -> (n, d1 + d2);
+    # axis 0 stacks them: (n1, d), (n2, d) -> (n1 + n2, d)
     _need(len(parts) > 0, "concat of nothing")
-    bounds = np.cumsum([p.shape[1] for p in parts])[:-1]
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def bw(g):
-        return tuple(zip(parts, np.split(g, bounds, axis=1)))
+        return tuple(zip(parts, np.split(g, bounds, axis=axis)))
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts), bw)
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), bw)
 
 
 def mean_rows(m: Tensor) -> Tensor:
@@ -165,17 +168,6 @@ def mean_rows(m: Tensor) -> Tensor:
     n = m.shape[0]
     return Tensor(m.data.mean(axis=0, keepdims=True), (m,),
                   lambda g: ((m, np.broadcast_to(g / n, m.shape).copy()),))
-
-
-def mean_of(items: list[Tensor]) -> Tensor:
-    _need(len(items) > 0, "mean of nothing")
-    n = len(items)
-    total = sum(t.data for t in items) / n
-
-    def bw(g):
-        return tuple((t, g / n) for t in items)
-
-    return Tensor(total, tuple(items), bw)
 
 
 def lerp_mask(mask: np.ndarray, when_on: Tensor, when_off: Tensor) -> Tensor:
@@ -244,19 +236,24 @@ def softmax_rows(scores: Tensor) -> Tensor:
     return Tensor(out, (scores,), bw)
 
 
-def cross_entropy(dist: Tensor, true_index: int) -> Tensor:
-    """-ln p[true_index] of a (1, V) distribution row."""
-    _need(dist.data.ndim == 2 and dist.shape[0] == 1, f"cross_entropy on {dist.shape}")
-    if not 0 <= true_index < dist.shape[1]:
-        raise InvalidIndex(f"class index {true_index} outside [0, {dist.shape[1]})")
-    p = dist.data[0, true_index]
+def cross_entropy(dist: Tensor, true_ids) -> Tensor:
+    """Mean over the rows of an (n, V) distribution batch of -ln p[r, true_ids[r]]."""
+    true_ids = np.asarray(true_ids, dtype=np.intp)
+    _need(dist.data.ndim == 2 and true_ids.shape == (dist.shape[0],),
+          f"cross_entropy on {dist.shape} with {true_ids.shape} ids")
+    bad = (true_ids < 0) | (true_ids >= dist.shape[1])
+    if np.any(bad):
+        raise InvalidIndex(f"class index {true_ids[bad][0]} outside [0, {dist.shape[1]})")
+    n = len(true_ids)
+    rows = np.arange(n)
+    p = dist.data[rows, true_ids]
 
     def bw(g):
         acc = np.zeros_like(dist.data)
-        acc[0, true_index] = -g / p
+        acc[rows, true_ids] = -(g / n) / p
         return ((dist, acc),)
 
-    return Tensor(-np.log(p), (dist,), bw)
+    return Tensor(-np.log(p).mean(), (dist,), bw)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

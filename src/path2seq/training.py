@@ -50,14 +50,20 @@ class TrainConfig:
     grad_clip: float | None = None  # off by default; opt-in only
 
     def __post_init__(self):
+        if not self.lr0 > 0.0:
+            raise ValueError("lr0 must be > 0")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError("lr_decay must be in (0, 1]")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"unknown ablation {self.ablation!r}")
         if self.task not in ("f1", "bleu"):
             raise ValueError("task must be f1 or bleu")
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ValueError("grad_clip must be > 0 or none")
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -90,8 +96,7 @@ def fixed_samples_for(examples: list[Example], k: int, seed: int) -> list[list[i
 
 def train_epoch(examples: list[Example], params: ModelParams, mcfg: ModelConfig,
                 tcfg: TrainConfig, state: TrainState, rng: np.random.Generator,
-                fixed_samples: list[list[int]] | None = None,
-                sample_observer=None) -> float:
+                fixed_samples: list[list[int]] | None = None) -> float:
     """One pass over the data in seeded-shuffled order; one optimizer step
     per batch at the current learning rate. Returns the mean example loss
     and then decays the learning rate for the next epoch."""
@@ -109,8 +114,6 @@ def train_epoch(examples: list[Example], params: ModelParams, mcfg: ModelConfig,
             else:
                 ctx_idx = choose_context_indices(len(ex.contexts), mcfg.k, rng,
                                                  training=True)
-            if sample_observer is not None:
-                sample_observer(state.epoch, int(ei), list(ctx_idx))
             loss = forward_loss(ex, params, mcfg, rng, training=True,
                                 context_indices=ctx_idx)
             value = float(loss.data)
@@ -167,7 +170,7 @@ class EpochLog:
 def train(train_examples: list[Example], val_examples: list[Example],
           params: ModelParams, mcfg: ModelConfig, tcfg: TrainConfig,
           state: TrainState | None = None, rng: np.random.Generator | None = None,
-          on_epoch=None, sample_observer=None) -> tuple[TrainState, list[EpochLog]]:
+          on_epoch=None) -> tuple[TrainState, list[EpochLog]]:
     """Run up to max_epochs from the given state, early-stopping after
     `patience` epochs without validation improvement. `on_epoch(log, best)`
     fires after every epoch; `best` is True when the validation metric
@@ -184,7 +187,7 @@ def train(train_examples: list[Example], val_examples: list[Example],
     while state.epoch < tcfg.max_epochs:
         started = time.perf_counter()
         mean_loss = train_epoch(train_examples, params, mcfg, tcfg, state, rng,
-                                fixed_samples=fixed, sample_observer=sample_observer)
+                                fixed_samples=fixed)
         val_metric = validate(val_examples, params, mcfg, tcfg.task) \
             if val_examples else float("nan")
         log = EpochLog(epoch=state.epoch, mean_loss=mean_loss, lr=state.current_lr,
@@ -248,9 +251,12 @@ def restore(path) -> tuple[ModelParams, TrainState, np.random.Generator,
     meta = json.loads(need("meta/config").decode("utf-8"))
     vocabs = Vocabularies.from_dict(
         {name: decode_string_list(need(f"vocab/{name}")) for name in Vocabularies.FIELDS})
-    mcfg = ModelConfig(**meta["model"])
-    tcfg = TrainConfig(**meta["train"])
-    ecfg = ExtractionConfig(**meta["extraction"]) if meta.get("extraction") else None
+    try:
+        mcfg = ModelConfig(**meta["model"])
+        tcfg = TrainConfig(**meta["train"])
+        ecfg = ExtractionConfig(**meta["extraction"]) if meta.get("extraction") else None
+    except ValueError as exc:
+        raise CorruptFile(f"{path}: record 'meta/config' holds a rejected value: {exc}") from exc
     params = ModelParams(mcfg, vocabs, ablation=meta["ablation"], seed=0)
     for p in params.parameters():
         value = need(f"param/{p.name}")

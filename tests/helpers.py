@@ -140,6 +140,103 @@ def tiny_setup(examples=None, ablation="full", seed=1, **cfg_kw):
     return examples, vocabs, cfg, params
 
 
+def record_context_samples(monkeypatch) -> list[tuple[str, int, tuple[int, ...]]]:
+    """Wrap the trainer's `forward_loss` so every training call logs
+    (ablation, example index, context indices) in call order."""
+    from path2seq import training
+
+    calls = []
+    real = training.forward_loss
+
+    def recording(example, params, *args, **kwargs):
+        calls.append((params.ablation, example.index, tuple(kwargs["context_indices"])))
+        return real(example, params, *args, **kwargs)
+
+    monkeypatch.setattr(training, "forward_loss", recording)
+    return calls
+
+
+# --- per-step references for the row-batched decoder ---
+
+def reference_step_loss(example, params, cfg, rng, training=True):
+    """The teacher-forced loss built one step at a time: one single-row
+    `decode_step` and one `cross_entropy` per target subtoken plus EOS,
+    averaged as a chain of adds. `forward_loss` must match it."""
+    from path2seq import numerics as nx
+    from path2seq.model import (TARGET_EOS_ID, TARGET_SOS_ID, encode_example,
+                                ensure_ids, start_decoder_state)
+
+    gold_ids = ensure_ids(example, params.vocabs).target_ids + [TARGET_EOS_ID]
+    enc = encode_example(params, example, cfg, rng, training)
+    h, c = start_decoder_state(params, enc)
+    total, prev = None, TARGET_SOS_ID
+    for gold in gold_ids:
+        dist, h, c, _ = decode_step_row(params, prev, h, c, enc)
+        loss = nx.cross_entropy(dist, [gold])
+        total = loss if total is None else nx.add(total, loss)
+        prev = gold
+    return nx.mul_const(total, 1.0 / len(gold_ids))
+
+
+def decode_step_row(params, prev_id, h, c, enc):
+    from path2seq.model import decode_step
+
+    return decode_step(params, np.array([prev_id], dtype=np.intp), h, c, enc)
+
+
+def reference_beam(example, params, cfg, beam_width):
+    """Beam search that advances each live hypothesis with its own
+    single-row `decode_step`, ranking each hypothesis's tokens by total
+    score. `beam_decode` must return the same predictions."""
+    from path2seq.decoding import Prediction, _trace_row
+    from path2seq.model import (TARGET_EOS_ID, TARGET_PAD_ID, TARGET_SOS_ID,
+                                encode_example, start_decoder_state)
+
+    enc = encode_example(params, example, cfg, rng=None, training=False)
+    h0, c0 = start_decoder_state(params, enc)
+    live = [([], 0.0, h0, c0, [])]  # (tokens, score, h, c, trace)
+    finished = []
+
+    def finish(tokens, score, trace):
+        finished.append(Prediction(
+            subtokens=[params.vocabs.target.symbol(t) for t in tokens], score=score,
+            attention_trace=list(trace), n_contexts=len(example.contexts)))
+
+    for step in range(cfg.max_target_len + 1):
+        if not live:
+            break
+        expansions, candidates = [], []
+        for li, (tokens, score, h, c, trace) in enumerate(live):
+            dist, h2, c2, alpha = decode_step_row(
+                params, tokens[-1] if tokens else TARGET_SOS_ID, h, c, enc)
+            logp = np.log(np.maximum(dist.data[0], 1e-300))
+            logp[[TARGET_PAD_ID, TARGET_SOS_ID]] = -np.inf
+            expansions.append((h2, c2, alpha, logp))
+            if step >= cfg.max_target_len:
+                finish(tokens, score + float(logp[TARGET_EOS_ID]), trace)
+                continue
+            neg = -(score + logp)
+            for token in np.argsort(neg, kind="stable")[: beam_width]:
+                if np.isfinite(neg[token]):
+                    candidates.append((neg[token], li, int(token)))
+        if step >= cfg.max_target_len:
+            break
+        candidates.sort()
+        next_live = []
+        for _, li, token in candidates[: beam_width]:
+            tokens, score, _, _, trace = live[li]
+            h2, c2, alpha, logp = expansions[li]
+            if token == TARGET_EOS_ID:
+                finish(tokens, score + float(logp[token]), trace)
+                continue
+            row = [] if alpha is None else [_trace_row(alpha.data[0], enc.order)]
+            next_live.append((tokens + [token], score + float(logp[token]), h2, c2,
+                              trace + row))
+        live = next_live
+    finished.sort(key=lambda p: -p.normalized_score)
+    return finished[: beam_width]
+
+
 # --- random trees and the brute-force path oracle ---
 
 def random_tree(rng: np.random.Generator, max_terminals: int = 12) -> Ast:

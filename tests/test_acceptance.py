@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import (corpus_examples, oracle_paths, random_minij_method,
-                     synth_corpus, synth_split, tiny_setup)
+                     record_context_samples, synth_corpus, synth_split, tiny_setup)
 from path2seq import numerics as nx
 from path2seq.cli import ablation_report, ablation_report_lines, main as cli_main
 from path2seq.decoding import greedy_decode
@@ -265,30 +265,29 @@ def test_criterion_7_schedule():
     announce(7, "learning-rate schedule")
 
 
-def test_criterion_8_ablation_harness(tmp_path, overfit_corpus):
+def test_criterion_8_ablation_harness(tmp_path, overfit_corpus, monkeypatch):
     """All seven configurations train on the overfit corpus without error
     and the report covers each variant with F1 deltas; the no_random
     variant consumes identical context samples every epoch."""
     examples, vocabs = overfit_corpus
     cfg = overfit_model_config()
     checkpoints = {}
-    sample_log = {}
+    calls = record_context_samples(monkeypatch)
     for variant in ABLATIONS:
         params = ModelParams(cfg, vocabs, ablation=variant, seed=5)
         tcfg = TrainConfig(lr0=0.05, batch_size=16, max_epochs=2, seed=9,
                            patience=999, ablation=variant)
-        observer = None
-        if variant == "no_random":
-            def observer(epoch, example_index, chosen,
-                         log=sample_log):
-                log.setdefault(example_index, []).append(tuple(chosen))
-        state, history = train(examples, [], params, cfg, tcfg,
-                               sample_observer=observer)
+        state, history = train(examples, [], params, cfg, tcfg)
         assert all(np.isfinite(h.mean_loss) for h in history)
         path = tmp_path / f"{variant}.p2sq"
         checkpoint(path, params, state, make_rng(0), tcfg, ExtractionConfig())
         checkpoints[variant] = path
 
+    sample_log = {}
+    for ablation, example_index, chosen in calls:
+        if ablation == "no_random":
+            sample_log.setdefault(example_index, []).append(chosen)
+    assert len(sample_log) == len(examples)
     for example_index, picks in sample_log.items():
         assert len(picks) == 2 and len(set(picks)) == 1
 

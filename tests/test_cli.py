@@ -167,7 +167,8 @@ class TestTrainCommand:
         assert "error:" in err and "absent" in err
 
     @pytest.mark.parametrize("setting", ["batch_size=0", "input_dropout=1.0",
-                                         "recurrent_dropout=1.0"])
+                                         "recurrent_dropout=1.0", "grad_clip=-1",
+                                         "grad_clip=0", "lr0=0", "momentum=1.5"])
     def test_invalid_value_is_config_error(self, pipeline, tmp_path, capsys, setting):
         prefix, _ = pipeline
         out = tmp_path / "bad.p2sq"
@@ -201,6 +202,15 @@ class TestPredictCommand:
         run_cli("predict", ckpt, "--input", src, "--beam", "1")
         beam_out = capsys.readouterr().out
         assert greedy_out == beam_out
+
+    def test_beam_zero_is_config_error(self, pipeline, tmp_path, capsys):
+        _, ckpt = pipeline
+        src = tmp_path / "four.mnj"
+        src.write_text("int getWidth() { return width; }")
+        assert run_cli("predict", ckpt, "--input", src, "--beam", "0") == 1
+        captured = capsys.readouterr()
+        assert "error: config-error: --beam must be >= 1" in captured.err
+        assert not captured.out
 
     def test_explain_prints_contexts(self, pipeline, tmp_path, capsys):
         _, ckpt = pipeline
@@ -249,6 +259,21 @@ class TestEvaluateCommand:
         assert run_cli("evaluate", ckpt, f"{prefix}.test.c2s", "--task", "bleu",
                        "--out", out) == 0
         assert "bleu:" in capsys.readouterr().out
+
+    def test_config_task_picks_the_metric(self, pipeline, tmp_path, capsys):
+        prefix, ckpt = pipeline
+        out = tmp_path / "bleu_set"
+        assert run_cli("evaluate", ckpt, f"{prefix}.test.c2s", "--set", "task=bleu",
+                       "--out", out) == 0
+        captured = capsys.readouterr()
+        assert "config: task=bleu" in captured.err and "bleu:" in captured.out
+        assert Path(f"{out}.report.tsv").read_text().startswith("bleu\tp1\t")
+        flag = tmp_path / "bleu_flag"
+        assert run_cli("evaluate", ckpt, f"{prefix}.test.c2s", "--task", "bleu",
+                       "--out", flag) == 0
+        assert "config: task=bleu" in capsys.readouterr().err
+        assert Path(f"{out}.report.tsv").read_bytes() == \
+            Path(f"{flag}.report.tsv").read_bytes()
 
     def test_deterministic_reports(self, pipeline, tmp_path):
         prefix, ckpt = pipeline

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_setup
+from helpers import reference_beam, tiny_setup
 from path2seq.decoding import (MismatchedExample, beam_decode, explain,
                                greedy_decode)
 from path2seq.model import (TARGET_EOS_ID, TARGET_PAD_ID, TARGET_SOS_ID,
@@ -35,7 +35,7 @@ def exhaustive_best_logprob(example, params, cfg, max_len):
         return out
 
     def expand(prev, h, c, score, depth):
-        dist, h2, c2, _ = decode_step(params, prev, h, c, enc, training=False)
+        dist, h2, c2, _ = decode_step(params, np.array([prev]), h, c, enc)
         lp = logp(dist)
         best[0] = max(best[0], score + lp[TARGET_EOS_ID])
         if depth >= max_len:
@@ -126,6 +126,23 @@ class TestBeam:
                 (["<UNK>"], -4.1588830833596715),
                 (["<UNK>", "<UNK>"], -6.238324625039507)]
             assert [len(p.attention_trace) for p in preds] == [0, 1, 2]
+
+    @pytest.mark.parametrize("ablation", ["full", "no_attention", "no_token_split"])
+    def test_matches_per_hypothesis_reference(self, ablation):
+        """Advancing the live hypotheses as rows of one decode_step returns
+        the per-hypothesis beam's predictions in the same order."""
+        examples, vocabs, cfg, params = tiny_setup(ablation=ablation, seed=4, d_decoder=6)
+        for ex in examples[:6]:
+            got = beam_decode(ex, params, cfg, beam_width=3)
+            want = reference_beam(ex, params, cfg, beam_width=3)
+            assert [p.subtokens for p in got] == [p.subtokens for p in want]
+            for g, w in zip(got, want):
+                assert abs(g.score - w.score) < 1e-12
+                assert len(g.attention_trace) == len(w.attention_trace)
+                for g_row, w_row in zip(g.attention_trace, w.attention_trace):
+                    g_weights, w_weights = dict(g_row), dict(w_row)
+                    assert g_weights.keys() == w_weights.keys()
+                    assert all(abs(g_weights[i] - w_weights[i]) < 1e-12 for i in g_weights)
 
     def test_bad_width(self, trained):
         examples, vocabs, cfg, params = trained

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_setup, toy_examples
+from helpers import reference_step_loss, tiny_setup, toy_examples
 from path2seq import numerics as nx
 from path2seq.model import (EmptyContexts, ModelConfig, ModelParams,
                             TARGET_EOS_ID, TARGET_SOS_ID, attention_step,
@@ -174,7 +174,7 @@ class TestDecodeStep:
         examples, vocabs, cfg, params = tiny_setup()
         enc = encode_example(params, examples[0], cfg, np.random.default_rng(0), False)
         h, c = start_decoder_state(params, enc)
-        dist, h2, c2, alpha = decode_step(params, TARGET_SOS_ID, h, c, enc, False)
+        dist, h2, c2, alpha = decode_step(params, np.array([TARGET_SOS_ID]), h, c, enc)
         assert abs(dist.data.sum() - 1.0) < 1e-12
         assert abs(alpha.data.sum() - 1.0) < 1e-12
 
@@ -355,3 +355,26 @@ def test_forward_graph_is_all_row_batches(ablation):
                 seen.add(id(parent))
                 todo.append(parent)
     assert shapes and all(len(shape) == 2 for shape in shapes), sorted(shapes)
+
+
+@pytest.mark.parametrize("ablation", ["full", "no_attention", "no_token_split"])
+def test_forward_loss_matches_per_step_reference(ablation):
+    """Scoring the T teacher-forced states as rows of one decoder_head call
+    gives the per-step loss and every parameter gradient to 1e-12."""
+    toys = toy_examples()
+    long_target = Example(contexts=toys[0].contexts, index=99,
+                          target=["alpha", "beta", "gamma", "delta"] * 2 + ["end"])
+    examples, vocabs, cfg, params = tiny_setup(toys + [long_target], ablation=ablation,
+                                               d_decoder=6, input_dropout=0.25,
+                                               recurrent_dropout=0.5)
+    for ex in examples[:3] + [long_target]:
+        nx.zero_grads(params.parameters())
+        loss = forward_loss(ex, params, cfg, np.random.default_rng(3), training=True)
+        nx.backward(loss)
+        grads = [p.grad.copy() for p in params.parameters()]
+        nx.zero_grads(params.parameters())
+        want = reference_step_loss(ex, params, cfg, np.random.default_rng(3))
+        nx.backward(want)
+        assert abs(float(loss.data) - float(want.data)) < 1e-12
+        for p, grad in zip(params.parameters(), grads):
+            assert np.max(np.abs(grad - p.grad)) < 1e-12, p.name

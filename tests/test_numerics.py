@@ -85,16 +85,32 @@ class TestElementOps:
 
     def test_transpose_row_and_column(self):
         rng = np.random.default_rng(6)
-        row = nx.Parameter(rng.standard_normal((1, 4)), "row")
+        row = nx.constant(rng.standard_normal((1, 4)))
         col = nx.transpose(row)
-        assert col.shape == (4, 1) and np.array_equal(col.data[:, 0], row.data[0])
-        weights = rng.standard_normal((4, 1))
-        loss = nx.Tensor(np.sum(col.data * weights), (col,), lambda g: ((col, g * weights),))
-        nx.backward(loss)
-        assert np.array_equal(row.grad, weights.T)
+        assert col.shape == (4, 1) and np.shares_memory(col.data, row.data)
         assert nx.transpose(col).shape == (1, 4)
+        m = nx.Parameter(rng.standard_normal((2, 3)), "m")
+        mt = nx.transpose(m)
+        assert mt.shape == (3, 2) and np.array_equal(mt.data, m.data.T)
+        assert mt.data.flags["C_CONTIGUOUS"]
+        weights = rng.standard_normal((3, 2))
+        loss = nx.Tensor(np.sum(mt.data * weights), (mt,), lambda g: ((mt, g * weights),))
+        nx.backward(loss)
+        assert np.array_equal(m.grad, weights.T)
         with pytest.raises(nx.ShapeMismatch):
-            nx.transpose(nx.constant(np.ones((2, 3))))
+            nx.transpose(nx.constant(np.ones(3)))
+
+    def test_concat_stacks_rows(self):
+        rng = np.random.default_rng(8)
+        a = nx.Parameter(rng.standard_normal((1, 3)), "a")
+        b = nx.Parameter(rng.standard_normal((2, 3)), "b")
+        both = nx.concat([a, b], axis=0)
+        assert np.array_equal(both.data, np.vstack([a.data, b.data]))
+        weights = rng.standard_normal((3, 3))
+        loss = nx.Tensor(np.sum(both.data * weights), (both,),
+                         lambda g: ((both, g * weights),))
+        nx.backward(loss)
+        assert np.array_equal(a.grad, weights[:1]) and np.array_equal(b.grad, weights[1:])
 
     def test_elementwise_grads(self):
         rng = np.random.default_rng(9)
@@ -112,8 +128,8 @@ class TestElementOps:
             h = nx.mul(nx.tanh(a), nx.sigmoid(b))
             out = nx.add_bias(nx.mm(h, w), bias)
             sq = nx.mul(out, out)
-            return nx.mean_of([nx.Tensor(sq.data.sum(), (sq,),
-                                         lambda g: ((sq, np.full(sq.data.shape, g)),))])
+            return nx.Tensor(sq.data.sum(), (sq,),
+                             lambda g: ((sq, np.full(sq.data.shape, g)),))
         loss = graph()
         nx.backward(loss)
         numeric = finite_diff(lambda: float(forward().data),
@@ -308,28 +324,42 @@ class TestCrossEntropy:
     def test_uniform_is_log_v(self):
         for v in (2, 7, 13):
             dist = nx.constant(np.full((1, v), 1.0 / v))
-            assert abs(float(nx.cross_entropy(dist, 0).data) - np.log(v)) < 1e-12
+            assert abs(float(nx.cross_entropy(dist, [0]).data) - np.log(v)) < 1e-12
 
     def test_perfect_prediction(self):
         dist = nx.constant(np.array([[0.0, 1.0, 0.0]]))
-        assert float(nx.cross_entropy(dist, 1).data) == 0.0
+        assert float(nx.cross_entropy(dist, [1]).data) == 0.0
 
     def test_batch_mean_matches_scalar_loop(self):
         rng = np.random.default_rng(5)
-        dists = [nx.softmax(rng.standard_normal((1, 6))) for _ in range(10)]
+        dists = nx.Parameter(nx.softmax(rng.standard_normal((10, 6))), "dists")
         idxs = rng.integers(0, 6, size=10)
-        losses = [nx.cross_entropy(nx.constant(d), int(i)) for d, i in zip(dists, idxs)]
-        mean = nx.mean_of(losses)
-        by_hand = sum(-np.log(d[0, i]) for d, i in zip(dists, idxs)) / 10
+        mean = nx.cross_entropy(dists, idxs)
+        by_hand = sum(-np.log(dists.data[r, i]) for r, i in enumerate(idxs)) / 10
         assert abs(float(mean.data) - by_hand) < 1e-12
+        nx.backward(mean)
+        want = np.zeros((10, 6))
+        for r, i in enumerate(idxs):
+            want[r, i] = -1.0 / (10 * dists.data[r, i])
+        assert np.max(np.abs(dists.grad - want)) < 1e-12
 
     def test_invalid_index(self):
         with pytest.raises(nx.InvalidIndex):
-            nx.cross_entropy(nx.constant(np.ones((1, 3)) / 3), 3)
+            nx.cross_entropy(nx.constant(np.ones((1, 3)) / 3), [3])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_invalid_index_in_any_row(self, bad):
+        dists = nx.constant(np.ones((3, 3)) / 3)
+        with pytest.raises(nx.InvalidIndex):
+            nx.cross_entropy(dists, [0, 1, bad])
+        with pytest.raises(nx.InvalidIndex):
+            nx.cross_entropy(dists, [bad, 1, 0])
 
     def test_needs_one_row(self):
         with pytest.raises(nx.ShapeMismatch):
-            nx.cross_entropy(nx.constant(np.ones(3) / 3), 0)
+            nx.cross_entropy(nx.constant(np.ones(3) / 3), [0])
+        with pytest.raises(nx.ShapeMismatch):  # one class index per row
+            nx.cross_entropy(nx.constant(np.ones((2, 3)) / 3), [0])
 
 
 class TestBackward:

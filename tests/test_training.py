@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import tiny_setup, toy_examples
+from helpers import record_context_samples, tiny_setup, toy_examples
 from path2seq import numerics as nx
 from path2seq.storage import CorruptFile, VersionMismatch, read_records, write_records
 from path2seq.training import (DataError, DivergenceError, TrainConfig, TrainState,
@@ -117,39 +117,38 @@ class TestGradClip:
 
 
 class TestNoRandom:
-    def test_fixed_samples_identical_across_epochs(self):
+    def test_fixed_samples_identical_across_epochs(self, monkeypatch):
         # give examples more contexts than k so sampling actually chooses
         base = toy_examples()
         for ex in base:
             ex.contexts = ex.contexts * 3  # 9 contexts, k=3
         examples, vocabs, cfg, params = tiny_setup(base, ablation="no_random")
         tcfg = quick_tcfg(max_epochs=3, ablation="no_random")
-        seen: dict[tuple[int, int], list[int]] = {}
+        calls = record_context_samples(monkeypatch)
+        train(examples, [], params, cfg, tcfg)
+        seen: dict[tuple[int, int], tuple[int, ...]] = {}
         epochs_per_example: dict[int, set] = {}
-
-        def observer(epoch, example_index, chosen):
-            key = (epoch, example_index)
-            seen[key] = chosen
+        for n, (_, example_index, chosen) in enumerate(calls):
+            epoch = n // len(examples)  # each epoch visits every example once
+            seen[(epoch, example_index)] = chosen
             epochs_per_example.setdefault(example_index, set()).add(epoch)
-
-        train(examples, [], params, cfg, tcfg, sample_observer=observer)
+        assert len(epochs_per_example) == len(examples)
         for example_index, epochs in epochs_per_example.items():
             assert len(epochs) == 3
             picks = {tuple(seen[(e, example_index)]) for e in epochs}
             assert len(picks) == 1  # same contexts every epoch
 
-    def test_fresh_sampling_differs_between_epochs(self):
+    def test_fresh_sampling_differs_between_epochs(self, monkeypatch):
         base = toy_examples()
         for ex in base:
             ex.contexts = ex.contexts * 3
         examples, vocabs, cfg, params = tiny_setup(base)
         tcfg = quick_tcfg(max_epochs=4)
+        calls = record_context_samples(monkeypatch)
+        train(examples, [], params, cfg, tcfg)
         seen = {}
-
-        def observer(epoch, example_index, chosen):
-            seen.setdefault(example_index, []).append(tuple(chosen))
-
-        train(examples, [], params, cfg, tcfg, sample_observer=observer)
+        for _, example_index, chosen in calls:
+            seen.setdefault(example_index, []).append(chosen)
         assert any(len(set(picks)) > 1 for picks in seen.values())
 
     def test_fixed_samples_deterministic(self):
@@ -227,6 +226,17 @@ class TestCheckpoint:
         with pytest.raises(CorruptFile):
             restore(path)
 
+    def test_rejected_setting_is_corrupt_file(self, tmp_path):
+        # a setting TrainConfig rejects, such as the gradient-ascent clip
+        # norm -1 that older versions accepted, is reported, not raised raw
+        examples, vocabs, cfg, params = tiny_setup()
+        tcfg = quick_tcfg()
+        tcfg.grad_clip = -1.0
+        path = tmp_path / "model.p2sq"
+        checkpoint(path, params, TrainState(current_lr=0.01), make_rng(0), tcfg, None)
+        with pytest.raises(CorruptFile, match="grad_clip must be > 0"):
+            restore(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.p2sq"
         write_records(path, [("x", np.zeros(2))])
@@ -246,8 +256,9 @@ class TestCheckpoint:
 class TestEarlyStopping:
     def test_stops_after_patience(self):
         examples, vocabs, cfg, params = tiny_setup()
-        # constant validation metric: a perfect stub never improves twice
-        tcfg = quick_tcfg(max_epochs=50, patience=2, lr0=0.0)
+        # an lr0 too small to change any prediction keeps the validation
+        # metric constant, so it improves only once
+        tcfg = quick_tcfg(max_epochs=50, patience=2, lr0=1e-12, momentum=0.0)
         state, history = train(examples, examples[:2], params, cfg, tcfg)
         assert len(history) < 50
 
