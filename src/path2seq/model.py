@@ -80,8 +80,9 @@ class ModelConfig:
 
 class ModelParams:
     """Every learned tensor of one model variant, Glorot-initialized from a
-    seed. Weight matrices use glorot_uniform_init; LSTM biases start at
-    zero except the forget gate's 1.0."""
+    seed. Weight matrices use glorot_uniform_init; each LSTM holds one gate
+    matrix and one bias, which starts at zero except the forget block's
+    1.0."""
 
     def __init__(self, cfg: ModelConfig, vocabs: Vocabularies, ablation: str = "full",
                  seed: int = 0):
@@ -213,16 +214,12 @@ def choose_context_indices(n_contexts: int, k: int, rng: np.random.Generator,
     return sample_paths(list(range(n_contexts)), k, rng)
 
 
-def _padded_ids(id_lists: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    n = len(id_lists)
+def _padded_ids(id_lists: list[np.ndarray]) -> np.ndarray:
     width = max(len(ids) for ids in id_lists)
-    mat = np.zeros((n, width), dtype=np.intp)  # pad id 0
-    masks = [np.zeros((n, 1)) for _ in range(width)]
+    mat = np.zeros((len(id_lists), width), dtype=np.intp)  # pad id 0
     for r, ids in enumerate(id_lists):
         mat[r, : len(ids)] = ids
-        for t in range(len(ids)):
-            masks[t][r, 0] = 1.0
-    return mat, masks
+    return mat
 
 
 def _recurrent_mask(shape, rate: float, rng: np.random.Generator,
@@ -241,12 +238,13 @@ def _encode_rows(params: ModelParams, chosen: list[ContextIds], cfg: ModelConfig
         # one variational dropout mask per direction, fixed across timesteps
         fwd_mask = _recurrent_mask((k, cfg.d_path), cfg.recurrent_dropout, rng, training)
         bwd_mask = _recurrent_mask((k, cfg.d_path), cfg.recurrent_dropout, rng, training)
-        fwd_ids, fwd_masks = _padded_ids([c.node_ids for c in chosen])
-        bwd_ids, bwd_masks = _padded_ids([c.node_ids[::-1] for c in chosen])
+        lengths = [len(c.node_ids) for c in chosen]
+        fwd_ids = _padded_ids([c.node_ids for c in chosen])
+        bwd_ids = _padded_ids([c.node_ids[::-1] for c in chosen])
         fwd_in = [nx.embedding(params.E_nodes, fwd_ids[:, t]) for t in range(fwd_ids.shape[1])]
         bwd_in = [nx.embedding(params.E_nodes, bwd_ids[:, t]) for t in range(bwd_ids.shape[1])]
-        h_fwd = nx.lstm_final_state(params.path_fwd, fwd_in, fwd_masks, fwd_mask)
-        h_bwd = nx.lstm_final_state(params.path_bwd, bwd_in, bwd_masks, bwd_mask)
+        h_fwd = nx.lstm_final_state(params.path_fwd, fwd_in, lengths, fwd_mask)
+        h_bwd = nx.lstm_final_state(params.path_bwd, bwd_in, lengths, bwd_mask)
         parts.extend([h_fwd, h_bwd])
     if params.uses_tokens:
         if params.ablation == "no_token_split":

@@ -13,6 +13,12 @@ operand of `mm`, and `cross_entropy` scores a whole batch of distribution
 rows. Losses are 0-d; parameters keep their own shapes, such as the (h,)
 biases `add_bias` broadcasts over rows.
 
+An LSTM cell holds one (in+h, 4h) gate matrix and one (4h,) bias, so a
+step is one `concat`, `mm` and `add_bias` followed by one fused gate
+update whose h_t and c_t nodes have hand-written elementwise gradients.
+`lstm_final_state` runs padded sequences to their longest length and
+gathers each row's state at its own last step.
+
 Everything computes and accumulates in float64. Set `DEBUG = True` to make
 every op assert its output is finite.
 """
@@ -95,23 +101,12 @@ def _need(cond: bool, msg: str):
 
 # --- elementwise and linear ops ---
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _need(a.shape == b.shape, f"add {a.shape} vs {b.shape}")
-    return Tensor(a.data + b.data, (a, b), lambda g: ((a, g), (b, g)))
-
-
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     # (n, h) + (h,) with the bias gradient summed over rows
     _need(m.data.ndim == 2 and bias.data.ndim == 1 and m.shape[1] == bias.shape[0],
           f"add_bias {m.shape} vs {bias.shape}")
     return Tensor(m.data + bias.data, (m, bias),
                   lambda g: ((m, g), (bias, g.sum(axis=0))))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _need(a.shape == b.shape, f"mul {a.shape} vs {b.shape}")
-    return Tensor(a.data * b.data, (a, b),
-                  lambda g: ((a, g * b.data), (b, g * a.data)))
 
 
 def mul_const(a: Tensor, factor: np.ndarray | float) -> Tensor:
@@ -124,11 +119,6 @@ def tanh(a: Tensor) -> Tensor:
     if DEBUG:
         assert np.all(np.abs(out) <= 1.0)
     return Tensor(out, (a,), lambda g: ((a, g * (1.0 - out * out)),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, (a,), lambda g: ((a, g * out * (1.0 - out)),))
 
 
 def mm(a: Tensor, b: Tensor) -> Tensor:
@@ -168,15 +158,6 @@ def mean_rows(m: Tensor) -> Tensor:
     n = m.shape[0]
     return Tensor(m.data.mean(axis=0, keepdims=True), (m,),
                   lambda g: ((m, np.broadcast_to(g / n, m.shape).copy()),))
-
-
-def lerp_mask(mask: np.ndarray, when_on: Tensor, when_off: Tensor) -> Tensor:
-    # out = mask*on + (1-mask)*off with a constant 0/1 mask
-    _need(when_on.shape == when_off.shape, f"lerp {when_on.shape} vs {when_off.shape}")
-    mask = np.asarray(mask, dtype=np.float64)
-    return Tensor(mask * when_on.data + (1.0 - mask) * when_off.data,
-                  (when_on, when_off),
-                  lambda g: ((when_on, g * mask), (when_off, g * (1.0 - mask))))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -332,9 +313,12 @@ def glorot_uniform_init(shape, rng: np.random.Generator) -> np.ndarray:
 # --- LSTM cells ---
 
 class LstmCellParams:
-    """Gate weights over the concatenated [input; hidden] vector: one
-    (input+hidden, hidden) matrix and one bias per gate. The forget bias
-    starts at 1.0 so early training does not flush the cell state."""
+    """One gate matrix W, (input+hidden, 4*hidden), over the concatenated
+    [input; hidden] row and one bias b, (4*hidden,). Their column blocks
+    are the gates in `GATES` order. W is drawn one Glorot block per gate,
+    each with the fans of an (input+hidden, hidden) matrix. The forget
+    block of b starts at 1.0 so early training does not flush the cell
+    state; the rest of b starts at 0."""
 
     GATES = ("input", "forget", "output", "candidate")
 
@@ -343,21 +327,48 @@ class LstmCellParams:
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.name = name
-        self.weights = {}
-        self.biases = {}
-        for gate in self.GATES:
-            w = glorot_uniform_init((input_size + hidden_size, hidden_size), rng)
-            self.weights[gate] = Parameter(w, f"{name}/W_{gate}")
-            bias = np.ones(hidden_size) if gate == "forget" else np.zeros(hidden_size)
-            self.biases[gate] = Parameter(bias, f"{name}/b_{gate}")
+        blocks = [glorot_uniform_init((input_size + hidden_size, hidden_size), rng)
+                  for _ in self.GATES]
+        self.W = Parameter(np.concatenate(blocks, axis=1), f"{name}/W")
+        bias = np.zeros(len(self.GATES) * hidden_size)
+        bias[hidden_size: 2 * hidden_size] = 1.0  # the forget block
+        self.b = Parameter(bias, f"{name}/b")
 
     def parameters(self) -> list[Parameter]:
-        return [self.weights[g] for g in self.GATES] + [self.biases[g] for g in self.GATES]
+        return [self.W, self.b]
+
+
+def _lstm_update(gates: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """The elementwise half of a step: from the (n, 4h) gate pre-activations
+    and c_prev, c_t = f * c_prev + i * g and h_t = o * tanh(c_t), with i, f, o
+    sigmoids and g a tanh of their blocks. Returns the nodes h_t and c_t."""
+    hs = c_prev.shape[1]
+    z = gates.data
+    sig = 1.0 / (1.0 + np.exp(-z[:, : 3 * hs]))
+    i, f, o = sig[:, :hs], sig[:, hs: 2 * hs], sig[:, 2 * hs:]
+    g = np.tanh(z[:, 3 * hs:])
+    c = f * c_prev.data + i * g
+    tc = np.tanh(c)
+
+    def c_bw(dc):
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev.data * f * (1.0 - f),
+                             np.zeros_like(dc), dc * i * (1.0 - g * g)], axis=1)
+        return ((gates, dz), (c_prev, dc * f))
+
+    c_t = Tensor(c, (gates, c_prev), c_bw)
+
+    def h_bw(dh):
+        dz = np.zeros_like(z)
+        dz[:, 2 * hs: 3 * hs] = dh * tc * o * (1.0 - o)
+        return ((gates, dz), (c_t, dh * o * (1.0 - tc * tc)))
+
+    return Tensor(o * tc, (gates, c_t), h_bw), c_t
 
 
 def lstm_step(cell: LstmCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
               recurrent_mask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """One step over a row batch: x_t (n, in), h/c (n, hidden).
+    """One step over a row batch: x_t (n, in), h/c (n, hidden). All four
+    gates come from one [x_t; h_prev] W + b product.
 
     `recurrent_mask` is a dropout mask multiplied into h_prev before the
     gates; it must stay fixed across the timesteps of one sequence and is
@@ -368,35 +379,29 @@ def lstm_step(cell: LstmCellParams, x_t: Tensor, h_prev: Tensor, c_prev: Tensor,
     _need(h_prev.shape == c_prev.shape == (x_t.shape[0], cell.hidden_size),
           f"lstm state {h_prev.shape}, expected ({x_t.shape[0]}, {cell.hidden_size})")
     h_in = h_prev if recurrent_mask is None else mul_const(h_prev, recurrent_mask)
-    joint = concat([x_t, h_in])
-    gate_i = sigmoid(add_bias(mm(joint, cell.weights["input"]), cell.biases["input"]))
-    gate_f = sigmoid(add_bias(mm(joint, cell.weights["forget"]), cell.biases["forget"]))
-    gate_o = sigmoid(add_bias(mm(joint, cell.weights["output"]), cell.biases["output"]))
-    cand = tanh(add_bias(mm(joint, cell.weights["candidate"]), cell.biases["candidate"]))
-    c_t = add(mul(gate_f, c_prev), mul(gate_i, cand))
-    h_t = mul(gate_o, tanh(c_t))
-    return h_t, c_t
+    gates = add_bias(mm(concat([x_t, h_in]), cell.W), cell.b)
+    return _lstm_update(gates, c_prev)
 
 
-def lstm_final_state(cell: LstmCellParams, inputs: list[Tensor],
-                     step_masks: list[np.ndarray] | None = None,
+def lstm_final_state(cell: LstmCellParams, inputs: list[Tensor], lengths: list[int],
                      recurrent_mask: np.ndarray | None = None) -> Tensor:
-    """Run a row batch through the cell and return the last valid hidden
-    state per row. `step_masks[t]` is an (n, 1) 0/1 array: rows whose
-    sequence already ended carry their previous state forward."""
+    """Run a row batch of padded sequences through the cell and return each
+    row's hidden state after its own last step: row r has lengths[r] valid
+    steps, and the padded steps after them are computed but never read."""
     if not inputs:
         raise EmptySequence("lstm over an empty sequence")
     n = inputs[0].shape[0]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    _need(lengths.shape == (n,) and np.all((lengths >= 1) & (lengths <= len(inputs))),
+          f"lstm lengths {lengths} for {n} rows of {len(inputs)} steps")
     h = constant(np.zeros((n, cell.hidden_size)))
     c = constant(np.zeros((n, cell.hidden_size)))
-    for t, x_t in enumerate(inputs):
-        h_new, c_new = lstm_step(cell, x_t, h, c, recurrent_mask)
-        if step_masks is not None:
-            h = lerp_mask(step_masks[t], h_new, h)
-            c = lerp_mask(step_masks[t], c_new, c)
-        else:
-            h, c = h_new, c_new
-    return h
+    states = []
+    for x_t in inputs:
+        h, c = lstm_step(cell, x_t, h, c, recurrent_mask)
+        states.append(h)
+    # step t of row r is row t * n + r of the stacked states
+    return embedding(concat(states, axis=0), (lengths - 1) * n + np.arange(n))
 
 
 # --- optimizer ---

@@ -8,11 +8,14 @@ Each record: u32 name length, UTF-8 name, u8 dtype tag, u8 rank,
 u64 dims[rank], raw payload bytes. Tags: 0 = float64 tensor, 3 = UTF-8
 blob (rank 1, dim = byte length); any other tag marks the file corrupt.
 The trailing crc32 covers every record byte; the loader checks magic,
-version, checksum and that the file holds exactly the declared records.
+version and checksum before it parses any record, and then that the file
+holds exactly the declared records. Version 2 is the first with one gate
+matrix and one bias per LSTM cell; version-1 files are rejected.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import Path2SeqError
 
 MAGIC = b"P2SQ"
-VERSION = 1
+VERSION = 2
 
 TAG_F64, TAG_BYTES = 0, 3
 
@@ -66,58 +69,45 @@ def write_records(path, records: list[tuple[str, object]]):
         raise CheckpointError(f"cannot write {path}: {exc}") from exc
 
 
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CorruptFile(f"{self.path}: truncated record data")
-        out = self.blob[self.pos: self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def read_records(path) -> list[tuple[str, object]]:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read {path}: {exc}") from exc
-    if len(blob) < 12 or blob[:4] != MAGIC:
+    if len(blob) < 16 or blob[:4] != MAGIC:
         raise CorruptFile(f"{path}: not a {MAGIC.decode()} file")
-    reader = _Reader(blob, path)
-    reader.pos = 4
-    version = reader.u32()
+    version, count = struct.unpack("<II", blob[4:12])
     if version != VERSION:
         raise VersionMismatch(f"{path}: format version {version}, expected {VERSION}")
-    count = reader.u32()
-    body_start = reader.pos
+    end = len(blob) - 4
+    if struct.unpack("<I", blob[end:])[0] != zlib.crc32(blob[12:end]):
+        raise CorruptFile(f"{path}: checksum mismatch")
+    pos = 12  # past magic, version and record count
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > end:
+            raise CorruptFile(f"{path}: truncated record data")
+        pos += n
+        return blob[pos - n: pos]
+
     records = []
     for _ in range(count):
-        name = reader.take(reader.u32()).decode("utf-8")
-        tag, rank = struct.unpack("<BB", reader.take(2))
-        dims = struct.unpack(f"<{rank}Q", reader.take(8 * rank))
+        name = take(struct.unpack("<I", take(4))[0]).decode("utf-8")
+        tag, rank = struct.unpack("<BB", take(2))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
         if tag == TAG_BYTES:
             if rank != 1:
                 raise CorruptFile(f"{path}: byte record {name!r} with rank {rank}")
-            records.append((name, reader.take(dims[0])))
+            records.append((name, take(dims[0])))
         elif tag == TAG_F64:
-            size = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            arr = np.frombuffer(reader.take(size * 8), dtype="<f8")
+            arr = np.frombuffer(take(math.prod(dims) * 8), dtype="<f8")
             records.append((name, arr.reshape(dims).copy()))
         else:
             raise CorruptFile(f"{path}: unknown dtype tag {tag} in record {name!r}")
-    body = blob[body_start: reader.pos]
-    if reader.pos + 4 != len(blob):
-        raise CorruptFile(f"{path}: {len(blob) - reader.pos - 4} trailing bytes")
-    if struct.unpack("<I", blob[reader.pos:])[0] != zlib.crc32(body):
-        raise CorruptFile(f"{path}: checksum mismatch")
+    if pos != end:
+        raise CorruptFile(f"{path}: {end - pos} trailing bytes")
     return records
 
 

@@ -258,14 +258,18 @@ def restore(path) -> tuple[ModelParams, TrainState, np.random.Generator,
     except ValueError as exc:
         raise CorruptFile(f"{path}: record 'meta/config' holds a rejected value: {exc}") from exc
     params = ModelParams(mcfg, vocabs, ablation=meta["ablation"], seed=0)
+
+    def need_like(name, target: np.ndarray):
+        value = need(name)
+        shape = getattr(value, "shape", None)
+        if shape != target.shape:
+            raise CorruptFile(f"{path}: record {name} has shape {shape}, "
+                              f"expected {target.shape}")
+        target[...] = value
+
     for p in params.parameters():
-        value = need(f"param/{p.name}")
-        momentum = need(f"momentum/{p.name}")
-        if value.shape != p.data.shape:
-            raise CorruptFile(f"{path}: record param/{p.name} has shape {value.shape}, "
-                              f"expected {p.data.shape}")
-        p.data[...] = value
-        p.momentum[...] = momentum
+        need_like(f"param/{p.name}", p.data)
+        need_like(f"momentum/{p.name}", p.momentum)
     state_dict = json.loads(need("meta/state").decode("utf-8"))
     state = TrainState(**state_dict)
     rng = np.random.default_rng()

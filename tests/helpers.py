@@ -156,24 +156,90 @@ def record_context_samples(monkeypatch) -> list[tuple[str, int, tuple[int, ...]]
     return calls
 
 
+# --- graph ops the tests need and the package does not ---
+
+def add(a, b):
+    """Elementwise a + b as a graph node."""
+    from path2seq import numerics as nx
+
+    assert a.shape == b.shape, (a.shape, b.shape)
+    return nx.Tensor(a.data + b.data, (a, b), lambda g: ((a, g), (b, g)))
+
+
+def mul(a, b):
+    """Elementwise a * b as a graph node."""
+    from path2seq import numerics as nx
+
+    assert a.shape == b.shape, (a.shape, b.shape)
+    return nx.Tensor(a.data * b.data, (a, b),
+                     lambda g: ((a, g * b.data), (b, g * a.data)))
+
+
+def sigmoid(a):
+    from path2seq import numerics as nx
+
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return nx.Tensor(out, (a,), lambda g: ((a, g * out * (1.0 - out)),))
+
+
+def columns(m, lo: int, hi: int):
+    """Columns lo:hi of a matrix (entries of a vector) as a graph node."""
+    from path2seq import numerics as nx
+
+    def bw(g):
+        acc = np.zeros_like(m.data)
+        acc[..., lo:hi] = g
+        return ((m, acc),)
+
+    return nx.Tensor(m.data[..., lo:hi], (m,), bw)
+
+
+def gate_block(cell, gate: str, array):
+    """One gate's columns of a fused LSTM gate matrix or bias (or of any
+    array laid out like them)."""
+    g = cell.GATES.index(gate)
+    return array[..., g * cell.hidden_size: (g + 1) * cell.hidden_size]
+
+
+def reference_lstm_step(cell, x, h, c):
+    """One LSTM step built per gate from the blocks of W and b, with one
+    matmul, bias and activation node per gate and generic elementwise
+    nodes: the graph the fused `lstm_step` replaces."""
+    from path2seq import numerics as nx
+
+    joint = nx.concat([x, h])
+
+    def gate(name, activation):
+        g, hs = cell.GATES.index(name), cell.hidden_size
+        w = columns(cell.W, g * hs, (g + 1) * hs)
+        return activation(nx.add_bias(nx.mm(joint, w), columns(cell.b, g * hs, (g + 1) * hs)))
+
+    i, f, o = (gate(name, sigmoid) for name in ("input", "forget", "output"))
+    c_t = add(mul(f, c), mul(i, gate("candidate", nx.tanh)))
+    return mul(o, nx.tanh(c_t)), c_t
+
+
 # --- per-step references for the row-batched decoder ---
 
 def reference_step_loss(example, params, cfg, rng, training=True):
-    """The teacher-forced loss built one step at a time: one single-row
-    `decode_step` and one `cross_entropy` per target subtoken plus EOS,
-    averaged as a chain of adds. `forward_loss` must match it."""
+    """The teacher-forced loss built one step at a time: one per-gate
+    `reference_lstm_step`, one single-row `decoder_head` and one
+    `cross_entropy` per target subtoken plus EOS, averaged as a chain of
+    adds. `forward_loss` must match it."""
     from path2seq import numerics as nx
-    from path2seq.model import (TARGET_EOS_ID, TARGET_SOS_ID, encode_example,
-                                ensure_ids, start_decoder_state)
+    from path2seq.model import (TARGET_EOS_ID, TARGET_SOS_ID, decoder_head,
+                                encode_example, ensure_ids, start_decoder_state)
 
     gold_ids = ensure_ids(example, params.vocabs).target_ids + [TARGET_EOS_ID]
     enc = encode_example(params, example, cfg, rng, training)
     h, c = start_decoder_state(params, enc)
     total, prev = None, TARGET_SOS_ID
     for gold in gold_ids:
-        dist, h, c, _ = decode_step_row(params, prev, h, c, enc)
+        x = nx.embedding(params.E_target, np.array([prev], dtype=np.intp))
+        h, c = reference_lstm_step(params.decoder, x, h, c)
+        dist, _ = decoder_head(params, h, enc.Z)
         loss = nx.cross_entropy(dist, [gold])
-        total = loss if total is None else nx.add(total, loss)
+        total = loss if total is None else add(total, loss)
         prev = gold
     return nx.mul_const(total, 1.0 / len(gold_ids))
 

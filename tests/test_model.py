@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import reference_step_loss, tiny_setup, toy_examples
+from helpers import gate_block, reference_step_loss, tiny_setup, toy_examples
 from path2seq import numerics as nx
 from path2seq.model import (EmptyContexts, ModelConfig, ModelParams,
                             TARGET_EOS_ID, TARGET_SOS_ID, attention_step,
@@ -17,17 +17,24 @@ def scalar_loss_oracle(example, params, cfg):
     vocabs = params.vocabs
     sig = lambda v: 1 / (1 + np.exp(-v))
 
+    def pre(cell, gate, j):
+        # the gate's own column block of W and b
+        return j @ gate_block(cell, gate, cell.W.data) + gate_block(cell, gate, cell.b.data)
+
+    def lstm_step(cell, x, h, c):
+        j = np.concatenate([x, h])
+        i = sig(pre(cell, "input", j))
+        f = sig(pre(cell, "forget", j))
+        o = sig(pre(cell, "output", j))
+        g = np.tanh(pre(cell, "candidate", j))
+        c = f * c + i * g
+        return o * np.tanh(c), c
+
     def lstm_scan(cell, xs):
         h = np.zeros(cell.hidden_size)
         c = np.zeros(cell.hidden_size)
         for x in xs:
-            j = np.concatenate([x, h])
-            i = sig(j @ cell.weights["input"].data + cell.biases["input"].data)
-            f = sig(j @ cell.weights["forget"].data + cell.biases["forget"].data)
-            o = sig(j @ cell.weights["output"].data + cell.biases["output"].data)
-            g = np.tanh(j @ cell.weights["candidate"].data + cell.biases["candidate"].data)
-            c = f * c + i * g
-            h = o * np.tanh(c)
+            h, c = lstm_step(cell, x, h, c)
         return h, c
 
     def softmax(v):
@@ -50,15 +57,7 @@ def scalar_loss_oracle(example, params, cfg):
     prev = TARGET_SOS_ID
     losses = []
     for gold in vocabs.target.ids(example.target) + [TARGET_EOS_ID]:
-        x = params.E_target.data[prev]
-        j = np.concatenate([x, h])
-        dec = params.decoder
-        i = sig(j @ dec.weights["input"].data + dec.biases["input"].data)
-        f = sig(j @ dec.weights["forget"].data + dec.biases["forget"].data)
-        o = sig(j @ dec.weights["output"].data + dec.biases["output"].data)
-        g = np.tanh(j @ dec.weights["candidate"].data + dec.biases["candidate"].data)
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        h, c = lstm_step(params.decoder, params.E_target.data[prev], h, c)
         alpha = softmax(Z @ (h @ params.W_a.data))
         ctx_vec = alpha @ Z
         hidden = np.tanh(np.concatenate([ctx_vec, h]) @ params.W_c.data)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import add, gate_block, mul
 from path2seq import numerics as nx
 
 
@@ -81,7 +82,7 @@ class TestElementOps:
         with pytest.raises(nx.ShapeMismatch):
             nx.mm(nx.constant(np.ones((2, 3))), nx.constant(np.ones((2, 3))))
         with pytest.raises(nx.ShapeMismatch):
-            nx.add(nx.constant(np.ones(2)), nx.constant(np.ones(3)))
+            nx.add_bias(nx.constant(np.ones((1, 2))), nx.constant(np.ones(3)))
 
     def test_transpose_row_and_column(self):
         rng = np.random.default_rng(6)
@@ -120,14 +121,14 @@ class TestElementOps:
         bias = nx.Parameter(rng.standard_normal(2), "bias")
 
         def forward():
-            h = nx.mul(nx.tanh(a), nx.sigmoid(b))
+            h = mul(nx.tanh(a), nx.mul_const(nx.tanh(b), 0.5))
             out = nx.add_bias(nx.mm(h, w), bias)
             return nx.Tensor(np.array((out.data ** 2).sum()))
 
         def graph():
-            h = nx.mul(nx.tanh(a), nx.sigmoid(b))
+            h = mul(nx.tanh(a), nx.mul_const(nx.tanh(b), 0.5))
             out = nx.add_bias(nx.mm(h, w), bias)
-            sq = nx.mul(out, out)
+            sq = mul(out, out)
             return nx.Tensor(sq.data.sum(), (sq,),
                              lambda g: ((sq, np.full(sq.data.shape, g)),))
         loss = graph()
@@ -185,9 +186,8 @@ class TestLstm:
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(0)
         cell = nx.LstmCellParams(3, 4, "z", rng)
-        for gate in cell.GATES:
-            cell.weights[gate].data[...] = 0.0
-            cell.biases[gate].data[...] = 0.0
+        cell.W.data[...] = 0.0
+        cell.b.data[...] = 0.0
         h, c = nx.lstm_step(cell, nx.constant(np.ones((2, 3))),
                             nx.constant(np.zeros((2, 4))), nx.constant(np.zeros((2, 4))))
         assert np.all(h.data == 0) and np.all(c.data == 0)
@@ -201,8 +201,8 @@ class TestLstm:
 
     def test_forget_bias_initialized_to_one(self):
         cell = nx.LstmCellParams(3, 4, "f", np.random.default_rng(2))
-        assert np.all(cell.biases["forget"].data == 1.0)
-        assert np.all(cell.biases["input"].data == 0.0)
+        assert np.all(gate_block(cell, "forget", cell.b.data) == 1.0)
+        assert np.all(gate_block(cell, "input", cell.b.data) == 0.0)
 
     def test_two_step_unroll_gradient(self):
         rng = np.random.default_rng(7)
@@ -228,6 +228,46 @@ class TestLstm:
         analytic = [p.grad for p in cell.parameters()]
         assert max_rel_error(analytic, numeric) < 1e-6
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["no_mask", "recurrent_mask"])
+    def test_fused_step_matches_per_gate_formula(self, masked):
+        """h and c of one fused step equal the textbook per-gate formula
+        over the column blocks of W and b to 1e-12, and the gradients of
+        both outputs match finite differences."""
+        rng = np.random.default_rng(12)
+        cell = nx.LstmCellParams(3, 4, "u", rng)
+        cell.b.data[...] = rng.standard_normal(16)
+        x = nx.Parameter(rng.standard_normal((5, 3)), "x")
+        h_prev = nx.Parameter(rng.standard_normal((5, 4)), "h")
+        c_prev = nx.Parameter(rng.standard_normal((5, 4)), "c")
+        mask = (rng.random((5, 4)) >= 0.5) / 0.5 if masked else None
+
+        def by_gate():
+            h_in = h_prev.data if mask is None else h_prev.data * mask
+            joint = np.concatenate([x.data, h_in], axis=1)
+            pre = {gate: joint @ gate_block(cell, gate, cell.W.data)
+                   + gate_block(cell, gate, cell.b.data) for gate in cell.GATES}
+            i, f, o = (1 / (1 + np.exp(-pre[g])) for g in ("input", "forget", "output"))
+            c = f * c_prev.data + i * np.tanh(pre["candidate"])
+            return o * np.tanh(c), c
+
+        h, c = nx.lstm_step(cell, x, h_prev, c_prev, mask)
+        want_h, want_c = by_gate()
+        assert np.max(np.abs(h.data - want_h)) < 1e-12
+        assert np.max(np.abs(c.data - want_c)) < 1e-12
+
+        mix_h, mix_c = rng.standard_normal((2, 5, 4))
+        loss = nx.Tensor(np.sum(h.data * mix_h) + np.sum(c.data * mix_c), (h, c),
+                         lambda g: ((h, g * mix_h), (c, g * mix_c)))
+        nx.backward(loss)
+
+        def value():
+            h_val, c_val = by_gate()
+            return float(np.sum(h_val * mix_h) + np.sum(c_val * mix_c))
+
+        leaves = [cell.W, cell.b, x, h_prev, c_prev]
+        numeric = finite_diff(value, [p.data for p in leaves])
+        assert max_rel_error([p.grad for p in leaves], numeric) < 1e-6
+
     def test_recurrent_mask_applies_to_previous_state(self):
         rng = np.random.default_rng(4)
         cell = nx.LstmCellParams(2, 3, "m", rng)
@@ -242,7 +282,7 @@ class TestLstm:
 
 class TestBilstm:
     """The path encoder's two directions: `lstm_final_state` over a ragged
-    row batch with step masks, and over the same rows reversed."""
+    row batch with per-row lengths, and over the same rows reversed."""
 
     def cell_pair(self, seed=0, shared=False):
         rng = np.random.default_rng(seed)
@@ -256,8 +296,7 @@ class TestBilstm:
         width = max(len(r) for r in rows)
         inputs = [nx.constant(np.stack([r[t] if t < len(r) else np.zeros(3) for r in rows]))
                   for t in range(width)]
-        masks = [np.array([[float(t < len(r))] for r in rows]) for t in range(width)]
-        return nx.lstm_final_state(cell, inputs, masks).data
+        return nx.lstm_final_state(cell, inputs, [len(r) for r in rows]).data
 
     def bidirectional(self, fwd, bwd, rows):
         return np.concatenate([self.final_states(fwd, rows),
@@ -295,7 +334,14 @@ class TestBilstm:
     def test_empty_sequence(self):
         fwd, _ = self.cell_pair()
         with pytest.raises(nx.EmptySequence):
-            nx.lstm_final_state(fwd, [])
+            nx.lstm_final_state(fwd, [], [])
+
+    def test_lengths_must_fit_the_steps(self):
+        fwd, _ = self.cell_pair()
+        inputs = [nx.constant(np.ones((2, 3)))] * 2
+        for lengths in ([0, 1], [1, 3], [1]):
+            with pytest.raises(nx.ShapeMismatch):
+                nx.lstm_final_state(fwd, inputs, lengths)
 
 
 class TestDropout:
@@ -394,7 +440,7 @@ class TestBackward:
         # y used twice: grads along both routes must add
         w = nx.Parameter(np.array([2.0]), "w")
         y = nx.mul_const(w, 3.0)
-        z = nx.add(y, y)
+        z = add(y, y)
         loss = nx.Tensor(z.data.sum(), (z,), lambda g: ((z, np.full(1, g)),))
         nx.backward(loss)
         assert np.allclose(w.grad, 6.0)

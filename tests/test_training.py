@@ -1,8 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from helpers import record_context_samples, tiny_setup, toy_examples
 from path2seq import numerics as nx
+from path2seq.errors import Path2SeqError
 from path2seq.storage import CorruptFile, VersionMismatch, read_records, write_records
 from path2seq.training import (DataError, DivergenceError, TrainConfig, TrainState,
                                checkpoint, fixed_samples_for, make_rng, restore,
@@ -236,6 +240,68 @@ class TestCheckpoint:
         checkpoint(path, params, TrainState(current_lr=0.01), make_rng(0), tcfg, None)
         with pytest.raises(CorruptFile, match="grad_clip must be > 0"):
             restore(path)
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 2)])
+    def test_momentum_of_wrong_shape_is_corrupt_file(self, tmp_path, shape):
+        # a (1,) buffer would broadcast into the whole momentum, a (2, 2)
+        # one would fail the copy with a bare ValueError
+        examples, vocabs, cfg, params = tiny_setup()
+        path = tmp_path / "model.p2sq"
+        checkpoint(path, params, TrainState(current_lr=0.01), make_rng(0), quick_tcfg(), None)
+        write_records(path, [(name, np.ones(shape) if name == "momentum/W_in" else value)
+                             for name, value in read_records(path)])
+        with pytest.raises(CorruptFile, match="momentum/W_in"):
+            restore(path)
+
+    def test_lstm_records_hold_one_gate_matrix_and_bias(self, tmp_path):
+        examples, vocabs, cfg, params = tiny_setup(d_decoder=6)
+        path = tmp_path / "model.p2sq"
+        checkpoint(path, params, TrainState(current_lr=0.01), make_rng(0), quick_tcfg(), None)
+        records = dict(read_records(path))
+        for cell, width, in_size in (("path_fwd", cfg.d_path, cfg.d_nodes),
+                                     ("path_bwd", cfg.d_path, cfg.d_nodes),
+                                     ("decoder", 6, cfg.d_target)):
+            assert records[f"param/{cell}/W"].shape == (in_size + width, 4 * width)
+            assert records[f"param/{cell}/b"].shape == (4 * width,)
+            assert not [name for name in records if name.startswith(f"param/{cell}/")
+                        and name not in (f"param/{cell}/W", f"param/{cell}/b")]
+
+    def test_version_one_file_is_version_mismatch(self, tmp_path):
+        # version 1 held four gate matrices and biases per LSTM
+        examples, vocabs, cfg, params = tiny_setup()
+        path = tmp_path / "model.p2sq"
+        checkpoint(path, params, TrainState(current_lr=0.01), make_rng(0), quick_tcfg(), None)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(VersionMismatch, match="format version 1, expected 2"):
+            restore(path)
+
+    def test_every_bit_flip_is_reported(self, tmp_path):
+        path = tmp_path / "small.p2sq"
+        write_records(path, [("W", np.arange(6.0).reshape(2, 3)), ("meta", b"{}")])
+        blob = path.read_bytes()
+        for pos in range(len(blob)):
+            want = "version-mismatch" if 4 <= pos < 8 else "corrupt-file"
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << bit
+                path.write_bytes(bytes(flipped))
+                with pytest.raises(Path2SeqError) as caught:
+                    read_records(path)
+                assert caught.value.kind == want, (pos, bit, caught.value)
+
+    def test_oversized_dims_with_valid_checksum_is_corrupt_file(self, tmp_path):
+        # dims whose product wraps around in 64 bits must not pass as empty
+        path = tmp_path / "dims.p2sq"
+        write_records(path, [("W", np.zeros((2, 2)))])
+        blob = bytearray(path.read_bytes())
+        dims_at = 12 + 4 + 1 + 2  # header, name length, name "W", tag and rank
+        blob[dims_at: dims_at + 16] = struct.pack("<QQ", 2 ** 62, 4)
+        blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[12:-4])))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile, match="truncated"):
+            read_records(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v.p2sq"
